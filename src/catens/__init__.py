@@ -14,10 +14,8 @@ from .core import (
     Clustering,
     DataError,
     DissimilarityMatrix,
-    MembershipMatrix,
     encode,
     hamming,
-    membership,
     relabel_dense,
     trichotomize,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "EnsembleConfig",
     "IncidenceMatrix",
     "KModesState",
-    "MembershipMatrix",
     "Merge",
     "SeqDesign",
     "SubspaceSet",
@@ -72,7 +69,6 @@ __all__ = [
     "gen_noise",
     "hamming",
     "kmodes",
-    "membership",
     "relabel_dense",
     "replicate_summary",
     "subspace_ensemble",

@@ -9,18 +9,15 @@ success, 1 for usage errors, 2 for data errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io as catio
 from .core import CategoricalMatrix, Clustering, DataError, hamming, relabel_dense
 from .ensemble import EnsembleConfig, ensemble_cluster
-from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral, to_newick
+from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral
 from .kmodes import en_kmodes, kmodes
 from .metrics import classification_rate, format_results_table, replicate_summary
 from .rng import child_seed
@@ -32,8 +29,6 @@ EN_METHODS = {"ENSL": "SL", "ENAL": "AL", "ENCL": "CL"}
 METHODS = (*HC_METHODS, *EN_METHODS, "KMODES", "ENKM", "WOR", "WR")
 
 SEQ_DESIGNS = {"low-noise": SEQ_LOW_NOISE, "high-noise": SEQ_HIGH_NOISE}
-
-THREADS_ENV = "CATENS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -138,13 +133,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown sequence design {self.seq_design!r}")
 
 
-def _seq_design(spec: ExperimentSpec) -> SeqDesign:
-    base = SEQ_DESIGNS[spec.seq_design]
+def _seq_design(name: str, J: int | None, sizes: tuple[int, ...] | None) -> SeqDesign:
+    base = SEQ_DESIGNS[name]
     kwargs = {}
-    if spec.seq_j is not None:
-        kwargs["J"] = spec.seq_j
-    if spec.seq_sizes is not None:
-        kwargs["sizes"] = spec.seq_sizes
+    if J is not None:
+        kwargs["J"] = J
+    if sizes is not None:
+        kwargs["sizes"] = sizes
     return SeqDesign(block_probs=base.block_probs, **kwargs) if kwargs else base
 
 
@@ -153,7 +148,8 @@ def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalM
     if spec.design is not None:
         return gen_lowdim(DESIGNS[spec.design], seed=data_seed, replicate=replicate)
     if spec.seq_design is not None:
-        return gen_highdim(_seq_design(spec), seed=data_seed, replicate=replicate)
+        design = _seq_design(spec.seq_design, spec.seq_j, spec.seq_sizes)
+        return gen_highdim(design, seed=data_seed, replicate=replicate)
     return _load_input(
         spec.input,
         fmt=spec.format,
@@ -185,15 +181,7 @@ def _replicate_rates(spec: ExperimentSpec, replicate: int) -> dict[str, float]:
     method_seed = child_seed(spec.seed, 1)
     rates: dict[str, float] = {}
     for mi, method in enumerate(spec.methods):
-        opts = MethodOptions(
-            B=spec.options.B,
-            alpha=spec.options.alpha,
-            seed=child_seed(method_seed, replicate, mi),
-            subspace=spec.options.subspace,
-            blocks=spec.options.blocks,
-            normalize=spec.options.normalize,
-            final_linkage=spec.options.final_linkage,
-        )
+        opts = replace(spec.options, seed=child_seed(method_seed, replicate, mi))
         labels, _ = run_method(method, x, k, opts)
         rates[method] = classification_rate(labels, truth)
     return rates
@@ -303,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--replicates", type=int, default=1)
     pe.add_argument("--k", type=int, help="final cluster count (default: from design/truth)")
     pe.add_argument("--output", help="write the TSV results table here")
-    pe.add_argument("--workers", type=int,
-                    default=int(os.environ.get(THREADS_ENV, "1")),
-                    help=f"parallel replicate workers (default ${THREADS_ENV} or 1)")
+    pe.add_argument("--workers", type=int, default=1, help="parallel replicate workers (default 1)")
     _add_method_flags(pe)
     _add_io_flags(pe)
 
@@ -325,14 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice ``--config FILE`` contents in as flags (explicit flags win)."""
-    if "--config" not in argv:
+    """Splice ``--config FILE`` or ``--config=FILE`` contents in as flags
+    (explicit flags win)."""
+    for at, token in enumerate(argv):
+        if token == "--config" and at + 1 < len(argv):
+            path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+            break
+        if token.startswith("--config="):
+            path, rest = token.partition("=")[2], argv[:at] + argv[at + 1:]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
     flags: list[str] = []
     for key, value in catio.load_config(path).items():
         flag = "--" + key.replace("_", "-")
@@ -375,12 +364,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     labels, tree = run_method(args.method, x, args.k, _options_from_args(args))
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
-    if args.output:
-        catio.write_labels_csv(args.output, ids, labels.labels)
-    else:
-        sys.stdout.write("id,cluster\n")
-        for rid, lab in zip(ids, labels.labels):
-            sys.stdout.write(f"{rid},{int(lab)}\n")
+    catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
     if args.newick:
         if tree is None:
             raise ValueError(f"method {args.method} does not produce a dendrogram")
@@ -425,15 +409,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.design:
         x, truth = gen_lowdim(DESIGNS[args.design], seed=args.seed, replicate=args.replicate)
     elif args.seq_design:
-        base = SEQ_DESIGNS[args.seq_design]
-        kwargs = {}
-        if args.seq_j is not None:
-            kwargs["J"] = args.seq_j
-        sizes = _parse_sizes(args.seq_sizes)
-        if sizes is not None:
-            kwargs["sizes"] = sizes
-        sd = SeqDesign(block_probs=base.block_probs, **kwargs) if kwargs else base
-        x, truth = gen_highdim(sd, seed=args.seed, replicate=args.replicate)
+        design = _seq_design(args.seq_design, args.seq_j, _parse_sizes(args.seq_sizes))
+        x, truth = gen_highdim(design, seed=args.seed, replicate=args.replicate)
     else:
         try:
             n, j, s = (int(v) for v in args.noise.split(","))

@@ -3,10 +3,11 @@
 A dataset is an ``n x J`` table of nominal codes (:class:`CategoricalMatrix`).
 Column alphabets are finite and per-column bounded; an optional reserved gap
 code marks alignment placeholders in pre-aligned sequence data.  Pairwise
-mismatch counting (:func:`hamming`) is the only notion of distance used
-anywhere in the package: plain counts, counts normalized by the number of
-compared positions, and the gap-aware variant that skips positions where
-either row holds a gap.
+mismatch counting (:func:`mismatch_counts`, wrapped for data rows by
+:func:`hamming`) is the only notion of distance used anywhere in the
+package: plain counts, counts normalized by the number of compared
+positions, and the gap-aware variant that skips positions where either row
+holds a gap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 GAP_CODE = -1
 
-# cap on the number of elements materialized per broadcasting block in hamming()
+# cap on the elements materialized per broadcasting block in mismatch_counts()
 _BLOCK_ELEMS = 2**26
 
 
@@ -114,25 +115,6 @@ class CategoricalMatrix:
 
 
 @dataclass(frozen=True)
-class MembershipMatrix:
-    """Per-column one-hot blocks; block ``j`` has shape ``(n, a_j)``."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        for b in self.blocks:
-            _freeze(b)
-
-    @property
-    def width(self) -> int:
-        return sum(b.shape[1] for b in self.blocks)
-
-    def dense(self) -> np.ndarray:
-        """Concatenated ``(n, sum a_j)`` one-hot matrix."""
-        return np.hstack(self.blocks)
-
-
-@dataclass(frozen=True)
 class DissimilarityMatrix:
     """Symmetric non-negative ``n x n`` matrix with zero diagonal.
 
@@ -214,17 +196,35 @@ def encode(
     )
 
 
-def membership(x: CategoricalMatrix) -> MembershipMatrix:
-    """One-hot membership blocks, one per column.  Undefined for gaps."""
-    if x.has_gaps:
-        raise DataError("membership is undefined for tables containing gaps")
-    blocks = []
-    for j in range(x.J):
-        a = int(x.cardinalities[j])
-        block = np.zeros((x.n, a), dtype=np.int8)
-        block[np.arange(x.n), x.codes[:, j]] = 1
-        blocks.append(block)
-    return MembershipMatrix(blocks=tuple(blocks))
+def mismatch_counts(
+    a: np.ndarray, b: np.ndarray, gap: int | None = None
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """Mismatch counts between every row of ``a`` and every row of ``b``.
+
+    Returns ``(counts, compared)``: ``counts[i, k]`` is the number of
+    columns where ``a[i]`` and ``b[k]`` differ.  With ``gap`` set, columns
+    where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
+    the columns actually compared; without it ``compared`` is the column
+    count.  Rows of ``a`` are processed in blocks that keep the broadcast
+    temporaries under ``_BLOCK_ELEMS`` elements; the sums are integers, so
+    the result does not depend on the block size.
+    """
+    (n, J), m = a.shape, b.shape[0]
+    counts = np.empty((n, m), dtype=np.int64)
+    block = max(1, _BLOCK_ELEMS // (m * J))
+    if gap is None:
+        for s in range(0, n, block):
+            diff = a[s:s + block, None, :] != b[None, :, :]
+            counts[s:s + block] = diff.sum(axis=2, dtype=np.int64)
+        return counts, J
+    valid_a, valid_b = a != gap, b != gap
+    compared = np.empty((n, m), dtype=np.int64)
+    for s in range(0, n, block):
+        comp = valid_a[s:s + block, None, :] & valid_b[None, :, :]
+        diff = comp & (a[s:s + block, None, :] != b[None, :, :])
+        counts[s:s + block] = diff.sum(axis=2, dtype=np.int64)
+        compared[s:s + block] = comp.sum(axis=2, dtype=np.int64)
+    return counts, compared
 
 
 def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatrix:
@@ -238,31 +238,17 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     """
     if x.n < 2:
         raise DataError("need at least two rows to form pairwise dissimilarities")
-    codes = x.codes
-    n, J = codes.shape
-    counts = np.empty((n, n), dtype=np.int64)
-    block = max(1, _BLOCK_ELEMS // (n * J))
-    if x.has_gaps:
-        nongap = codes != x.gap_code
-        denom = np.empty((n, n), dtype=np.int64)
-        for s in range(0, n, block):
-            e = min(n, s + block)
-            comp = nongap[s:e, None, :] & nongap[None, :, :]
-            diff = comp & (codes[s:e, None, :] != codes[None, :, :])
-            counts[s:e] = diff.sum(axis=2, dtype=np.int64)
-            denom[s:e] = comp.sum(axis=2, dtype=np.int64)
-        off = ~np.eye(n, dtype=bool)
-        if np.any(denom[off] == 0):
-            i, k = np.argwhere((denom == 0) & off)[0]
+    gap = x.gap_code if x.has_gaps else None
+    counts, compared = mismatch_counts(x.codes, x.codes, gap)
+    if gap is not None:
+        off = ~np.eye(x.n, dtype=bool)
+        if np.any(compared[off] == 0):
+            i, k = np.argwhere((compared == 0) & off)[0]
             raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
-    else:
-        denom = np.full((n, n), J, dtype=np.int64)
-        for s in range(0, n, block):
-            e = min(n, s + block)
-            diff = codes[s:e, None, :] != codes[None, :, :]
-            counts[s:e] = diff.sum(axis=2, dtype=np.int64)
     if normalized:
-        values = counts / np.where(denom == 0, 1, denom)
+        # with every pair comparable no row is all gaps, so the diagonal of
+        # ``compared`` (a row's own non-gap count) is non-zero too
+        values = counts / compared
         kind = "normalized"
     else:
         values = counts.astype(np.float64)
@@ -324,16 +310,13 @@ class Clustering:
         return self.labels.shape[0]
 
 
-def relabel_dense(labels: Sequence[int] | np.ndarray) -> Clustering:
+def relabel_dense(labels: Sequence[int] | Sequence[str] | np.ndarray) -> Clustering:
     """Clustering from arbitrary labels, renumbered by first appearance of
     the smallest member index (component containing row 0 gets label 0)."""
-    arr = np.asarray(labels)
-    _, dense = np.unique(arr, return_inverse=True)
-    # np.unique orders by label value; reorder so that label order follows
-    # the smallest original row index in each group
-    order = {}
-    for i, g in enumerate(dense):
-        if g not in order:
-            order[int(g)] = len(order)
-    mapped = np.fromiter((order[int(g)] for g in dense), dtype=np.int64, count=arr.size)
-    return Clustering(labels=mapped, K=len(order))
+    # object dtype compares labels as Python values (a fixed-width numpy
+    # string array would drop trailing NUL characters)
+    values = np.asarray(labels, dtype=object)
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    # rank of each distinct label's first row among all first rows
+    rank = np.argsort(np.argsort(first))
+    return Clustering(labels=rank[inverse], K=first.size)

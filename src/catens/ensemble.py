@@ -10,15 +10,14 @@ ensembled variants of single/average/complete linkage clustering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, hamming
+from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, hamming, mismatch_counts
 from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral, normalize_linkage
 from .rng import substream
-
-_BLOCK_ELEMS = 2**26
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,11 @@ class IncidenceMatrix:
                 raise DataError(f"column {b} must use labels exactly [0, {k})")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def of(cls, runs: Sequence[Clustering]) -> IncidenceMatrix:
+        """Incidence matrix with one column per clustering, in run order."""
+        return cls(entries=np.stack([c.labels for c in runs], axis=1), sizes=tuple(c.K for c in runs))
 
     @property
     def n(self) -> int:
@@ -112,13 +116,7 @@ def build_incidence(
     if np.any(sizes < 1) or np.any(sizes > d.n):
         raise ValueError(f"base clustering sizes must lie in [1, {d.n}]")
     tree = agglomerate(d, linkage)
-    columns = []
-    actual = []
-    for k in sizes:
-        c = cut_with_outlier_deferral(tree, int(k), alpha)
-        columns.append(c.labels)
-        actual.append(c.K)
-    return IncidenceMatrix(entries=np.stack(columns, axis=1), sizes=tuple(actual))
+    return IncidenceMatrix.of([cut_with_outlier_deferral(tree, int(k), alpha) for k in sizes])
 
 
 def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
@@ -127,17 +125,24 @@ def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
     Entries are compared within their own column only; the result takes
     values in {0, 1/B, ..., 1} and is exactly symmetric with zero diagonal.
     """
-    entries = w.entries
-    n, B = entries.shape
-    counts = np.empty((n, n), dtype=np.int64)
-    block = max(1, _BLOCK_ELEMS // (n * B))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        diff = entries[s:e, None, :] != entries[None, :, :]
-        counts[s:e] = diff.sum(axis=2, dtype=np.int64)
-    values = counts / B
+    counts, _ = mismatch_counts(w.entries, w.entries)
+    values = counts / w.B
     np.fill_diagonal(values, 0.0)
     return DissimilarityMatrix(values=values, kind="ensemble")
+
+
+def recluster(
+    w: IncidenceMatrix,
+    linkage: str,
+    k_final: int,
+    alpha: float = 0.0,
+    leaf_labels: tuple[str, ...] | None = None,
+) -> tuple[Clustering, Dendrogram]:
+    """The second stage shared by every ensemble: the ensemble dissimilarity
+    of ``w``, agglomerated under ``linkage`` and cut at ``k_final`` with
+    small-cluster deferral at ``alpha``."""
+    tree = agglomerate(ensemble_dissimilarity(w), linkage, leaf_labels=leaf_labels)
+    return cut_with_outlier_deferral(tree, k_final, alpha), tree
 
 
 def ensemble_cluster(
@@ -158,46 +163,5 @@ def ensemble_cluster(
         leaf_labels = data.row_ids
     else:
         d = data
-    sizes = draw_sizes(cfg, d.n)
-    w = build_incidence(d, sizes, cfg.linkage, cfg.alpha)
-    t = ensemble_dissimilarity(w)
-    tree = agglomerate(t, cfg.linkage, leaf_labels=leaf_labels)
-    return cut_with_outlier_deferral(tree, k_final, cfg.alpha), tree
-
-
-def with_seed(cfg: EnsembleConfig, seed: int) -> EnsembleConfig:
-    """Copy of ``cfg`` with a different seed (handy for substream reseeding)."""
-    return replace(cfg, seed=seed)
-
-
-def config_to_mapping(cfg: EnsembleConfig) -> dict[str, str]:
-    """Flat key=value view of a config, for the config-file format."""
-    out = {
-        "ensemble-size": str(cfg.B),
-        "linkage": cfg.linkage,
-        "seed": str(cfg.seed),
-        "alpha": repr(cfg.alpha),
-        "distinct": str(cfg.distinct).lower(),
-    }
-    if cfg.k_min is not None:
-        out["k-min"] = str(cfg.k_min)
-    if cfg.k_max is not None:
-        out["k-max"] = str(cfg.k_max)
-    return out
-
-
-def config_from_mapping(values: dict[str, str]) -> EnsembleConfig:
-    """Inverse of :func:`config_to_mapping`; unknown keys are rejected."""
-    known = {"ensemble-size", "linkage", "seed", "alpha", "distinct", "k-min", "k-max"}
-    unknown = set(values) - known
-    if unknown:
-        raise ValueError(f"unknown ensemble config keys: {sorted(unknown)}")
-    return EnsembleConfig(
-        B=int(values.get("ensemble-size", 25)),
-        k_min=int(values["k-min"]) if "k-min" in values else None,
-        k_max=int(values["k-max"]) if "k-max" in values else None,
-        linkage=values.get("linkage", "AL"),
-        seed=int(values.get("seed", 0)),
-        alpha=float(values.get("alpha", 0.0)),
-        distinct=values.get("distinct", "false").lower() == "true",
-    )
+    w = build_incidence(d, draw_sizes(cfg, d.n), cfg.linkage, cfg.alpha)
+    return recluster(w, cfg.linkage, k_final, cfg.alpha, leaf_labels)

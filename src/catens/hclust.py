@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, DataError, DissimilarityMatrix
+from .core import Clustering, DataError, DissimilarityMatrix, relabel_dense
 
 LINKAGES = ("SL", "AL", "CL")
 
@@ -128,6 +128,10 @@ def agglomerate(
 
 
 def _components(tree: Dendrogram, k: int) -> list[list[int]]:
+    """Member lists of the ``k`` clusters left after the first ``n - k``
+    merges, ordered by smallest member; each list is in merge order."""
+    if not 1 <= k <= tree.n:
+        raise ValueError(f"cut size must be in [1, {tree.n}], got {k}")
     members: dict[int, list[int]] = {i: [i] for i in range(tree.n)}
     for t in range(tree.n - k):
         m = tree.merges[t]
@@ -135,15 +139,17 @@ def _components(tree: Dendrogram, k: int) -> list[list[int]]:
     return sorted(members.values(), key=min)
 
 
+def _labelled(groups: list[list[int]], n: int) -> Clustering:
+    labels = np.empty(n, dtype=np.int64)
+    for idx, group in enumerate(groups):
+        labels[group] = idx
+    return Clustering(labels=labels, K=len(groups))
+
+
 def cut(tree: Dendrogram, k: int) -> Clustering:
     """Undo the last ``k - 1`` merges; components are labeled in order of
     their smallest member index."""
-    if not 1 <= k <= tree.n:
-        raise ValueError(f"cut size must be in [1, {tree.n}], got {k}")
-    labels = np.empty(tree.n, dtype=np.int64)
-    for idx, group in enumerate(_components(tree, k)):
-        labels[group] = idx
-    return Clustering(labels=labels, K=k)
+    return _labelled(_components(tree, k), tree.n)
 
 
 def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> Clustering:
@@ -157,35 +163,26 @@ def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> C
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 0.5)")
-    base = cut(tree, k)
     if alpha == 0.0:
-        return base
+        return cut(tree, k)
+    groups = _components(tree, k)
     if tree.source is None:
         raise ValueError("outlier deferral needs the dendrogram's source dissimilarity")
     d = tree.source.values
-    n = tree.n
-    threshold = alpha * n
-    groups = _components(tree, k)
+    threshold = alpha * tree.n
     survivors = [g for g in groups if len(g) >= threshold]
     if not survivors:
         raise DataError(f"alpha={alpha} leaves no cluster of size >= {threshold:.3g}")
     if len(survivors) == len(groups):
-        return base
-    labels = np.empty(n, dtype=np.int64)
+        return _labelled(groups, tree.n)
+    labels = np.empty(tree.n, dtype=np.int64)
     for idx, group in enumerate(survivors):
         labels[group] = idx
-    deferred = [p for g in groups if len(g) < threshold for p in g]
-    for p in deferred:
-        means = [d[p, g].mean() for g in survivors]
-        labels[p] = int(np.argmin(means))
-    # renumber so that cluster order again follows the smallest member index
-    final: dict[int, list[int]] = {}
-    for p, lab in enumerate(labels):
-        final.setdefault(int(lab), []).append(p)
-    out = np.empty(n, dtype=np.int64)
-    for idx, group in enumerate(sorted(final.values(), key=min)):
-        out[group] = idx
-    return Clustering(labels=out, K=len(final))
+    for p in (p for g in groups if len(g) < threshold for p in g):
+        # means over the member lists in merge order: the summation order sets
+        # the last bit, which decides ties between ensemble values k/B
+        labels[p] = int(np.argmin([d[p, g].mean() for g in survivors]))
+    return relabel_dense(labels)
 
 
 _NEWICK_SAFE = frozenset(
@@ -209,16 +206,27 @@ def to_newick(tree: Dendrogram, labels: tuple[str, ...] | None = None) -> str:
     def height(nid: int) -> float:
         return 0.0 if nid < tree.n else tree.merges[nid - tree.n].height
 
-    def render(nid: int, parent_h: float) -> str:
-        length = max(parent_h - height(nid), 0.0)
-        if nid < tree.n:
-            return f"{_quote_label(names[nid])}:{length:.10g}"
-        m = tree.merges[nid - tree.n]
-        inner = f"({render(m.left, m.height)},{render(m.right, m.height)})"
-        return f"{inner}:{length:.10g}"
-
     if tree.n == 1:
         return f"{_quote_label(names[0])};"
-    root = tree.merges[-1]
-    h = root.height
-    return f"({render(root.left, h)},{render(root.right, h)});"
+    # an explicit stack of pending text and (node, parent height) items, so
+    # that a deep tree (an SL chain, say) cannot exhaust the recursion limit
+    parts: list[str] = []
+    stack: list[str | tuple[int, float]] = []
+
+    def open_node(m: Merge, tail: str) -> None:
+        parts.append("(")
+        stack.extend([tail, (m.right, m.height), ",", (m.left, m.height)])
+
+    open_node(tree.merges[-1], ");")
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        nid, parent_h = item
+        length = max(parent_h - height(nid), 0.0)
+        if nid < tree.n:
+            parts.append(f"{_quote_label(names[nid])}:{length:.10g}")
+        else:
+            open_node(tree.merges[nid - tree.n], f"):{length:.10g}")
+    return "".join(parts)

@@ -1,19 +1,14 @@
 """File formats: CSV and aligned-FASTA ingestion, delimited exports,
-Newick output and the flat key=value config format mirrored by the CLI."""
+Newick output and the flat key=value config format read by the CLI."""
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Sequence, TextIO
 
 from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, encode, relabel_dense
-from .ensemble import IncidenceMatrix
 from .hclust import Dendrogram, to_newick
-from .subspace import SubspaceSet
 
 FASTA_SUFFIXES = (".fa", ".fasta", ".fna", ".ffn", ".faa", ".afa", ".aln")
 DEFAULT_GAP_SYMBOLS = ("-", ".")
@@ -72,7 +67,7 @@ def read_categorical_csv(
     if ids is None:
         ids = [str(i) for i in range(len(rows))]
     x = encode(rows, gap_symbol=gap_symbol, row_ids=ids)
-    truth = relabel_dense(np.unique(truth_raw, return_inverse=True)[1]) if truth_raw else None
+    truth = relabel_dense(truth_raw) if truth_raw else None
     return x, truth
 
 
@@ -156,15 +151,17 @@ def matrix_to_fasta_records(x: CategoricalMatrix) -> list[tuple[str, str]]:
     return [(ids[i], "".join(row)) for i, row in enumerate(x.decode())]
 
 
-def write_labels_csv(path: str | Path, ids: Sequence[str], labels: Sequence[int]) -> None:
-    """Two-column (id, cluster) CSV, one row per input row in input order."""
+def write_labels_csv(target: str | Path | TextIO, ids: Sequence[str], labels: Sequence[int]) -> None:
+    """Two-column (id, cluster) CSV, one row per input row in input order,
+    written to a path or to an open text stream."""
     if len(ids) != len(labels):
         raise DataError("one id per label required")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "cluster"])
-        for rid, lab in zip(ids, labels):
-            writer.writerow([rid, int(lab)])
+    rows = [["id", "cluster"], *([rid, int(lab)] for rid, lab in zip(ids, labels))]
+    if hasattr(target, "write"):
+        csv.writer(target, lineterminator="\n").writerows(rows)
+        return
+    with open(target, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def write_dissimilarity_csv(path: str | Path, d: DissimilarityMatrix) -> None:
@@ -173,21 +170,6 @@ def write_dissimilarity_csv(path: str | Path, d: DissimilarityMatrix) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         for row in d.values:
             writer.writerow([f"{v:.10g}" for v in row])
-
-
-def write_incidence_csv(path: str | Path, w: IncidenceMatrix) -> None:
-    """Integer CSV of the incidence matrix, one row per observation."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for row in w.entries:
-            writer.writerow([int(v) for v in row])
-
-
-def write_subspaces_jsonl(path: str | Path, s: SubspaceSet) -> None:
-    """One JSON array of column indices per line, in subset order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for sub in s.subsets:
-            handle.write(json.dumps([int(j) for j in sub]) + "\n")
 
 
 def write_newick(path: str | Path, tree: Dendrogram, labels: tuple[str, ...] | None = None) -> None:
@@ -211,8 +193,3 @@ def parse_config(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path) -> dict[str, str]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
-def format_config(values: dict[str, object]) -> str:
-    lines = [f"{k}={v}" for k, v in values.items() if v is not None]
-    return "\n".join(lines) + "\n"

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, relabel_dense
-from .ensemble import IncidenceMatrix, ensemble_dissimilarity
-from .hclust import agglomerate, cut
+from .core import CategoricalMatrix, Clustering, DataError, mismatch_counts, relabel_dense
+from .ensemble import IncidenceMatrix, recluster
 from .rng import substream
 
 
@@ -36,7 +35,7 @@ class KModesState:
 
 
 def _assign(codes: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dist = (codes[:, None, :] != modes[None, :, :]).sum(axis=2, dtype=np.int64)
+    dist, _ = mismatch_counts(codes, modes)
     labels = dist.argmin(axis=1)
     return labels, dist[np.arange(codes.shape[0]), labels]
 
@@ -122,13 +121,8 @@ def en_kmodes(
         raise ValueError("ensemble size B must be >= 1")
     k_max = int(np.ceil(np.sqrt(x.n)))
     sizes = substream(seed).integers(2, k_max + 1, size=B)
-    columns = []
-    actual = []
-    for b, k_b in enumerate(sizes):
-        state = kmodes(x, int(k_b), seed=substream(seed, b), max_iter=max_iter)
-        dense = relabel_dense(state.labels)
-        columns.append(dense.labels)
-        actual.append(dense.K)
-    w = IncidenceMatrix(entries=np.stack(columns, axis=1), sizes=tuple(actual))
-    tree = agglomerate(ensemble_dissimilarity(w), "AL", leaf_labels=x.row_ids)
-    return cut(tree, k_final)
+    runs = [
+        relabel_dense(kmodes(x, int(k_b), seed=substream(seed, b), max_iter=max_iter).labels)
+        for b, k_b in enumerate(sizes)
+    ]
+    return recluster(IncidenceMatrix.of(runs), "AL", k_final, leaf_labels=x.row_ids)[0]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CategoricalMatrix, Clustering, DataError
-from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, ensemble_dissimilarity
-from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral
+from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster
+from .hclust import Dendrogram
 from .rng import child_seed, substream
 
 
@@ -172,18 +172,12 @@ def subspace_ensemble(
     and cut at ``k_final``.  Subspace pipelines use substreams keyed by the
     subset index and can run in any order.
     """
-    columns = []
-    actual = []
+    runs = []
     k_min, k_max = base_cfg.k_range(x.n)
     for r, sub in enumerate(s.subsets):
         if np.any(np.asarray(sub) >= x.J):
             raise DataError(f"subset {r} references columns beyond J={x.J}")
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))
-        labels, _ = ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)
-        columns.append(labels.labels)
-        actual.append(labels.K)
-    w = IncidenceMatrix(entries=np.stack(columns, axis=1), sizes=tuple(actual))
-    t = ensemble_dissimilarity(w)
-    tree = agglomerate(t, final_linkage, leaf_labels=x.row_ids)
-    return cut_with_outlier_deferral(tree, k_final, base_cfg.alpha), tree
+        runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0])
+    return recluster(IncidenceMatrix.of(runs), final_linkage, k_final, base_cfg.alpha, x.row_ids)

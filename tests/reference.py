@@ -2,9 +2,9 @@
 
 These deliberately avoid the implementation's shortcuts: agglomeration
 recomputes every inter-cluster linkage from the raw matrix at every step
-(no Lance-Williams updates), the ensemble dissimilarity is a double loop,
-the matching rate enumerates label injections, and the bootstrap
-distinct-count law enumerates the whole sample space.
+(no Lance-Williams updates), the ensemble dissimilarity and the mismatch
+counts are plain loops, the matching rate enumerates label injections, and
+the bootstrap distinct-count law enumerates the whole sample space.
 """
 
 from __future__ import annotations
@@ -108,3 +108,24 @@ def exact_distinct_pmf_formula(J: int) -> np.ndarray:
         surj = sum((-1) ** i * comb(k, i) * (k - i) ** J for i in range(k + 1))
         out.append(comb(J, k) * surj / total)
     return np.array(out)
+
+
+def naive_mismatch_counts(a, b, gap=None):
+    """(counts, compared) for every row pair of ``a`` x ``b`` by plain loops:
+    a column counts as compared unless either row holds ``gap`` there."""
+    counts = [[0] * len(b) for _ in a]
+    compared = [[0] * len(b) for _ in a]
+    for i, u in enumerate(a):
+        for k, v in enumerate(b):
+            for p, q in zip(u, v):
+                if gap is not None and gap in (p, q):
+                    continue
+                compared[i][k] += 1
+                counts[i][k] += p != q
+    return counts, compared
+
+
+def first_appearance_labels(labels) -> list[int]:
+    """Renumber labels 0, 1, ... in the order each value first appears."""
+    seen: dict = {}
+    return [seen.setdefault(v, len(seen)) for v in labels]

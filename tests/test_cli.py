@@ -70,6 +70,19 @@ class TestClusterCommand:
         assert lines[0] == "id,cluster"
         assert len(lines) == 17
 
+    def test_stdout_matches_output_file(self, tmp_path, capsys):
+        # ids holding a delimiter and a quote must be quoted on stdout as in the file
+        data = tmp_path / "quoted.csv"
+        data.write_text('"a,1",x,y\nb,x,y\n"c""q",z,w\nd,z,w\n', encoding="utf-8")
+        argv = ["cluster", str(data), "--method", "HCAL", "--k", "2", "--id-column", "0"]
+        out = tmp_path / "labels.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        assert out.read_text().splitlines()[1] == '"a,1",0'
+        assert out.read_text().splitlines()[3] == '"c""q",1'
+
     def test_fasta_newick_leafset(self, tmp_path):
         fasta = tmp_path / "aln.fasta"
         records = [(f"rec{i}", ("ACGT" if i < 3 else "TGCA") * 3) for i in range(6)]
@@ -282,6 +295,17 @@ class TestConfigFile:
         code = main(["cluster", str(data), "--config", str(cfg), "--output", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 17
+
+    def test_config_equals_form(self, tmp_path):
+        rng = substream(70)
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, rng)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=HCAL\nk=2\nseed=3\n", encoding="utf-8")
+        out, spaced = tmp_path / "eq.csv", tmp_path / "spaced.csv"
+        assert main(["cluster", str(data), f"--config={cfg}", "--output", str(out)]) == 0
+        assert main(["cluster", str(data), "--config", str(cfg), "--output", str(spaced)]) == 0
+        assert out.read_bytes() == spaced.read_bytes()
 
     def test_explicit_flag_wins(self, tmp_path):
         rng = substream(69)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from catens import core
 from catens.core import (
     CategoricalMatrix,
     Clustering,
@@ -8,11 +11,13 @@ from catens.core import (
     DissimilarityMatrix,
     encode,
     hamming,
-    membership,
+    mismatch_counts,
     relabel_dense,
     trichotomize,
 )
 from catens.rng import substream
+
+from .reference import first_appearance_labels, naive_mismatch_counts
 
 
 class TestEncode:
@@ -63,33 +68,36 @@ class TestEncode:
         assert x.row_ids == ("r1", "r2")
 
 
-class TestMembership:
-    def test_one_hot_block(self):
-        x = CategoricalMatrix(np.array([[0], [1], [0]]), np.array([2]))
-        m = membership(x)
-        assert m.blocks[0].tolist() == [[1, 0], [0, 1], [1, 0]]
+class TestMismatchCounts:
+    def check(self, a, b, gap=None):
+        counts, compared = mismatch_counts(a, b, gap)
+        want_counts, want_compared = naive_mismatch_counts(a.tolist(), b.tolist(), gap)
+        assert counts.tolist() == want_counts
+        if gap is None:
+            assert compared == a.shape[1]
+        else:
+            assert compared.tolist() == want_compared
 
-    def test_width_is_sum_of_cardinalities(self):
-        x = CategoricalMatrix(np.array([[0, 2], [1, 0], [0, 1]]), np.array([2, 3]))
-        assert membership(x).width == 5
+    def test_cross_shapes(self):
+        rng = substream(31)
+        for n, m, j in [(7, 3, 5), (1, 4, 9), (5, 1, 1), (6, 6, 12)]:
+            self.check(rng.integers(0, 3, size=(n, j)), rng.integers(0, 3, size=(m, j)))
 
-    def test_single_row(self):
-        x = CategoricalMatrix(np.array([[1]]), np.array([3]))
-        assert membership(x).blocks[0].tolist() == [[0, 1, 0]]
+    def test_gap_mask_and_compared_counts(self):
+        rng = substream(32)
+        for n, m, j in [(6, 6, 8), (4, 7, 10), (3, 2, 1)]:
+            a, b = rng.integers(-1, 3, size=(n, j)), rng.integers(-1, 3, size=(m, j))
+            self.check(a, b, gap=-1)
 
-    def test_gaps_rejected(self):
-        x = encode([["a", "-"], ["b", "c"]], gap_symbol="-")
-        with pytest.raises(DataError):
-            membership(x)
-
-    def test_rows_sum_to_one(self):
-        rng = substream(3)
-        for _ in range(10):
-            n, j = int(rng.integers(2, 9)), int(rng.integers(1, 5))
-            cards = rng.integers(2, 5, size=j)
-            codes = np.stack([rng.integers(0, c, size=n) for c in cards], axis=1)
-            m = membership(CategoricalMatrix(codes, cards))
-            assert np.all(m.dense().sum(axis=1) == j)
+    def test_row_blocks(self, monkeypatch):
+        # a few elements per block forces many row blocks, including a short last one
+        rng = substream(33)
+        a, b = rng.integers(-1, 4, size=(11, 6)), rng.integers(-1, 4, size=(5, 6))
+        for elems in (1, 30, 65):
+            monkeypatch.setattr(core, "_BLOCK_ELEMS", elems)
+            self.check(a, b)
+            self.check(a, b, gap=-1)
+            self.check(a, a, gap=-1)
 
 
 class TestHamming:
@@ -133,7 +141,7 @@ class TestHamming:
             cards = rng.integers(2, 6, size=j)
             codes = np.stack([rng.integers(0, c, size=n) for c in cards], axis=1)
             x = CategoricalMatrix(codes, cards)
-            dense = membership(x).dense()
+            dense = np.hstack([np.eye(int(a), dtype=np.int8)[codes[:, j]] for j, a in enumerate(cards)])
             onehot_mismatch = (dense[:, None, :] != dense[None, :, :]).sum(axis=2)
             assert np.array_equal(onehot_mismatch, 2 * hamming(x).values)
 
@@ -224,3 +232,13 @@ class TestClustering:
         c = relabel_dense([5, 5, 2, 7, 2])
         assert c.labels.tolist() == [0, 0, 1, 2, 1]
         assert c.K == 3
+
+    @given(st.one_of(
+        st.lists(st.integers(), min_size=1),
+        st.lists(st.text(), min_size=1),
+    ))
+    def test_relabel_dense_matches_first_appearance(self, labels):
+        c = relabel_dense(labels)
+        expected = first_appearance_labels(labels)
+        assert c.labels.tolist() == expected
+        assert c.K == max(expected) + 1

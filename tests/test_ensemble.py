@@ -6,8 +6,6 @@ from catens.ensemble import (
     EnsembleConfig,
     IncidenceMatrix,
     build_incidence,
-    config_from_mapping,
-    config_to_mapping,
     draw_sizes,
     ensemble_cluster,
     ensemble_dissimilarity,
@@ -202,13 +200,3 @@ class TestEnsembleCluster:
         w = build_incidence(d, sizes, "AL")
         shuffled = build_incidence(d, sizes[::-1], "AL")
         assert np.array_equal(w.entries, shuffled.entries[:, ::-1])
-
-
-class TestConfigSerialization:
-    def test_round_trip(self):
-        cfg = EnsembleConfig(B=40, k_min=2, k_max=7, linkage="CL", seed=12, alpha=0.1, distinct=True)
-        assert config_from_mapping(config_to_mapping(cfg)) == cfg
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_mapping({"bogus": "1"})

@@ -217,6 +217,15 @@ class TestNewick:
         s = to_newick(t, labels=("seq one", "b:c", "plain"))
         assert s == "(('seq one':1,'b:c':1):1,plain:2);"
 
+    def test_deep_chain_is_not_recursive(self):
+        # a left-deep chain: merge t joins the previous cluster and leaf t+1 at height t+1
+        n = 2500
+        merges = [Merge(0, 1, 1.0, 2)] + [Merge(n + t - 1, t + 1, float(t + 1), t + 2) for t in range(1, n - 1)]
+        expected = "0:1,1:1"
+        for t in range(1, n - 1):
+            expected = f"({expected}):1,{t + 1}:{t + 1}"
+        assert to_newick(Dendrogram(n=n, merges=tuple(merges))) == f"({expected});"
+
     def test_branch_lengths_are_height_differences(self):
         rng = substream(16)
         d = random_matrix(rng, 6)

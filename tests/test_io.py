@@ -3,10 +3,8 @@ import pytest
 
 from catens import io as catio
 from catens.core import DataError, encode, hamming
-from catens.ensemble import EnsembleConfig, IncidenceMatrix, config_to_mapping
 from catens.hclust import agglomerate
 from catens.simgen import DESIGNS, gen_lowdim
-from catens.subspace import wr_subspaces
 
 
 class TestCsv:
@@ -122,23 +120,6 @@ class TestExports:
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 0.5
 
-    def test_incidence_csv(self, tmp_path):
-        w = IncidenceMatrix(entries=np.array([[0, 1], [1, 0]]), sizes=(2, 2))
-        path = tmp_path / "w.csv"
-        catio.write_incidence_csv(path, w)
-        assert path.read_text() == "0,1\n1,0\n"
-
-    def test_subspaces_jsonl(self, tmp_path):
-        s = wr_subspaces(10, M=3, seed=1)
-        path = tmp_path / "subs.jsonl"
-        catio.write_subspaces_jsonl(path, s)
-        import json
-
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        for line, sub in zip(lines, s.subsets):
-            assert json.loads(line) == sub.tolist()
-
     def test_newick_file(self, tmp_path):
         x = encode([["A", "T"], ["T", "A"], ["A", "A"]], row_ids=["r1", "r2", "r3"])
         tree = agglomerate(hamming(x), "AL", leaf_labels=x.row_ids)
@@ -160,15 +141,6 @@ class TestConfigFormat:
             catio.parse_config("not a pair\n")
 
     def test_format_round_trip(self, tmp_path):
-        values = {"method": "ENAL", "k": 5, "normalize": "true"}
         path = tmp_path / "run.cfg"
-        path.write_text(catio.format_config(values), encoding="utf-8")
+        path.write_text("method=ENAL\nk=5\nnormalize=true\n", encoding="utf-8")
         assert catio.load_config(path) == {"method": "ENAL", "k": "5", "normalize": "true"}
-
-    def test_ensemble_config_file_round_trip(self, tmp_path):
-        cfg = EnsembleConfig(B=30, linkage="CL", seed=5, alpha=0.05)
-        path = tmp_path / "ens.cfg"
-        path.write_text(catio.format_config(config_to_mapping(cfg)), encoding="utf-8")
-        from catens.ensemble import config_from_mapping
-
-        assert config_from_mapping(catio.load_config(path)) == cfg
