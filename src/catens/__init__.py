@@ -17,7 +17,6 @@ from .core import (
     encode,
     hamming,
     relabel_dense,
-    trichotomize,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -29,7 +28,7 @@ from .ensemble import (
 )
 from .hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from .kmodes import KModesState, en_kmodes, kmodes
-from .metrics import ConfusionMatrix, classification_rate, confusion, replicate_summary
+from .metrics import classification_rate, confusion, replicate_summary
 from .rng import child_seed, substream
 from .simgen import DESIGNS, Design, SeqDesign, gen_highdim, gen_lowdim, gen_noise
 from .subspace import SubspaceSet, distinct_count_pmf, subspace_ensemble, wor_subspaces, wr_subspaces
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CategoricalMatrix",
     "Clustering",
-    "ConfusionMatrix",
     "DataError",
     "Dendrogram",
     "Design",
@@ -74,7 +72,6 @@ __all__ = [
     "subspace_ensemble",
     "substream",
     "to_newick",
-    "trichotomize",
     "wor_subspaces",
     "wr_subspaces",
 ]

@@ -43,6 +43,10 @@ class MethodOptions:
     normalize: bool = False
     final_linkage: str = "AL"
 
+    def __post_init__(self) -> None:
+        if self.blocks is not None and self.blocks < 1:
+            raise ValueError("blocks must be >= 1")
+
 
 def run_method(
     name: str,
@@ -80,7 +84,7 @@ def run_method(
         return subspace_ensemble(x, subs, cfg, k, final_linkage=opts.final_linkage)
     if name in HC_METHODS:
         d = hamming(x, normalized=opts.normalize)
-        tree = agglomerate(d, HC_METHODS[name], leaf_labels=x.row_ids)
+        tree = agglomerate(d, HC_METHODS[name])
         return cut_with_outlier_deferral(tree, k, opts.alpha), tree
     if name in EN_METHODS:
         cfg = EnsembleConfig(
@@ -95,24 +99,20 @@ def run_method(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A replicated comparison of methods on one data source."""
+    """A replicated comparison of methods on one data source: a simulated
+    ``design`` or ``seq_design``, or the ``data`` loaded once from the file
+    ``input``, whose name heads the results column."""
 
     methods: tuple[str, ...]
     replicates: int = 1
     k_final: int | None = None
     seed: int = 0
-    output: str | None = None
     design: str | None = None
     seq_design: str | None = None
     seq_j: int | None = None
     seq_sizes: tuple[int, ...] | None = None
     input: str | None = None
-    format: str | None = None
-    delimiter: str = ","
-    header: bool = False
-    gap_symbol: str | None = None
-    id_column: str | None = None
-    truth_column: str | None = None
+    data: tuple[CategoricalMatrix, Clustering | None] | None = None
     options: MethodOptions = field(default_factory=MethodOptions)
     workers: int = 1
 
@@ -124,9 +124,13 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        sources = [s is not None for s in (self.design, self.seq_design, self.input)]
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        sources = [s is not None for s in (self.design, self.seq_design, self.data)]
         if sum(sources) != 1:
-            raise ValueError("exactly one of design, seq_design or input is required")
+            raise ValueError("exactly one of design, seq_design or data is required")
+        if (self.input is None) != (self.data is None):
+            raise ValueError("loaded data needs the input name it was read from")
         if self.design is not None and self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         if self.seq_design is not None and self.seq_design not in SEQ_DESIGNS:
@@ -150,15 +154,7 @@ def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalM
     if spec.seq_design is not None:
         design = _seq_design(spec.seq_design, spec.seq_j, spec.seq_sizes)
         return gen_highdim(design, seed=data_seed, replicate=replicate)
-    return _load_input(
-        spec.input,
-        fmt=spec.format,
-        delimiter=spec.delimiter,
-        header=spec.header,
-        gap_symbol=spec.gap_symbol,
-        id_column=spec.id_column,
-        truth_column=spec.truth_column,
-    )
+    return spec.data
 
 
 def _experiment_k(spec: ExperimentSpec, truth: Clustering | None) -> int:
@@ -205,29 +201,20 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, dict[str, tuple[float, flo
     return results
 
 
-def _load_input(
-    path: str,
-    fmt: str | None = None,
-    delimiter: str = ",",
-    header: bool = False,
-    gap_symbol: str | None = None,
-    id_column: str | None = None,
-    truth_column: str | None = None,
-) -> tuple[CategoricalMatrix, Clustering | None]:
-    suffix = Path(path).suffix.lower()
-    kind = fmt or ("fasta" if suffix in catio.FASTA_SUFFIXES else "csv")
+def _load_input(args: argparse.Namespace) -> tuple[CategoricalMatrix, Clustering | None]:
+    """The table named by ``args.input``, read as the I/O flags say."""
+    suffix = Path(args.input).suffix.lower()
+    kind = args.format or ("fasta" if suffix in catio.FASTA_SUFFIXES else "csv")
     if kind == "fasta":
-        gaps = catio.DEFAULT_GAP_SYMBOLS if gap_symbol is None else (gap_symbol,)
-        return catio.load_fasta_matrix(path, gap_symbols=gaps), None
-    if kind != "csv":
-        raise ValueError(f"unknown input format {kind!r}")
+        gaps = catio.DEFAULT_GAP_SYMBOLS if args.gap_symbol is None else (args.gap_symbol,)
+        return catio.load_fasta_matrix(args.input, gap_symbols=gaps), None
     return catio.read_categorical_csv(
-        path,
-        delimiter=delimiter,
-        header=header,
-        gap_symbol=gap_symbol,
-        id_column=id_column,
-        truth_column=truth_column,
+        args.input,
+        delimiter=args.delimiter,
+        header=args.header,
+        gap_symbol=args.gap_symbol,
+        id_column=args.id_column,
+        truth_column=args.truth_column,
     )
 
 
@@ -238,9 +225,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _one_char(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected a single character, got {text!r}")
+    return text
+
+
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "fasta"], help="input format (default: by extension)")
-    p.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
+    p.add_argument("--delimiter", type=_one_char, default=",", help="CSV delimiter (default ',')")
     p.add_argument("--header", action="store_true", help="CSV input has a header row")
     p.add_argument("--gap-symbol", help="symbol marking alignment gaps")
     p.add_argument("--id-column", help="CSV column holding row ids (name or index)")
@@ -306,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--replicate", type=int, default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination")
     ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output only)")
-    ps.add_argument("--delimiter", default=",")
+    ps.add_argument("--delimiter", type=_one_char, default=",")
     return parser
 
 
@@ -353,15 +346,7 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    x, truth = _load_input(
-        args.input,
-        fmt=args.format,
-        delimiter=args.delimiter,
-        header=args.header,
-        gap_symbol=args.gap_symbol,
-        id_column=args.id_column,
-        truth_column=args.truth_column,
-    )
+    x, truth = _load_input(args)
     labels, tree = run_method(args.method, x, args.k, _options_from_args(args))
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
     catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
@@ -382,25 +367,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         k_final=args.k,
         seed=args.seed,
-        output=args.output,
         design=args.design,
         seq_design=args.seq_design,
         seq_j=args.seq_j,
         seq_sizes=_parse_sizes(args.seq_sizes),
         input=args.input,
-        format=args.format,
-        delimiter=args.delimiter,
-        header=args.header,
-        gap_symbol=args.gap_symbol,
-        id_column=args.id_column,
-        truth_column=args.truth_column,
+        data=_load_input(args) if args.input else None,
         options=_options_from_args(args),
         workers=args.workers,
     )
     results = run_experiment(spec)
     table = format_results_table(results)
-    if spec.output:
-        Path(spec.output).write_text(table, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(table, encoding="utf-8")
     sys.stdout.write(table)
     return 0
 
@@ -438,10 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         return _cmd_simulate(args)
-    except DataError as exc:
-        sys.stderr.write(f"catens: data error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"catens: data error: {exc}\n")
         return 2
     except ValueError as exc:

@@ -257,36 +257,6 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     return DissimilarityMatrix(values=values, kind=kind)
 
 
-def _nearest_rank(sorted_col: np.ndarray, percent: int) -> float:
-    # 1-based rank ceil(percent * n / 100), in integer arithmetic
-    n = sorted_col.shape[0]
-    rank = (percent * n + 99) // 100
-    return float(sorted_col[max(rank, 1) - 1])
-
-
-def trichotomize(real_table: Sequence[Sequence[float]] | np.ndarray) -> CategoricalMatrix:
-    """Discretize real columns into 3 codes at their 33rd/66th percentiles.
-
-    Percentiles follow the nearest-rank convention on the sorted column and
-    values equal to a cut point fall in the lower bin.  Every column must
-    have at least three distinct values.
-    """
-    table = np.asarray(real_table, dtype=np.float64)
-    if table.ndim != 2 or table.size == 0:
-        raise DataError("expected a non-empty 2-D real table")
-    n, J = table.shape
-    codes = np.empty((n, J), dtype=np.int32)
-    for j in range(J):
-        col = table[:, j]
-        if np.unique(col).size < 3:
-            raise DataError(f"column {j} has fewer than 3 distinct values")
-        s = np.sort(col)
-        lo, hi = _nearest_rank(s, 33), _nearest_rank(s, 66)
-        codes[:, j] = np.where(col <= lo, 0, np.where(col <= hi, 1, 2))
-    cards = np.full(J, 3, dtype=np.int64)
-    return CategoricalMatrix(codes=codes, cardinalities=cards)
-
-
 @dataclass(frozen=True)
 class Clustering:
     """A flat clustering: length-``n`` labels in ``[0, K)``, all present."""

@@ -60,8 +60,6 @@ class EnsembleConfig:
     """Knobs for one ensembling stage.
 
     ``k_min``/``k_max`` default to 2 and ``ceil(sqrt(n))`` at draw time.
-    ``distinct=True`` draws the base sizes without replacement, which
-    requires the range to hold at least ``B`` values.
     """
 
     B: int = 25
@@ -70,7 +68,6 @@ class EnsembleConfig:
     linkage: str = "AL"
     seed: int = 0
     alpha: float = 0.0
-    distinct: bool = False
 
     def __post_init__(self) -> None:
         if self.B < 1:
@@ -92,13 +89,7 @@ class EnsembleConfig:
 def draw_sizes(cfg: EnsembleConfig, n: int) -> np.ndarray:
     """Draw the ``B`` base clustering sizes for a dataset of ``n`` rows."""
     k_min, k_max = cfg.k_range(n)
-    rng = substream(cfg.seed)
-    values = np.arange(k_min, k_max + 1)
-    if cfg.distinct:
-        if cfg.B > values.size:
-            raise ValueError(f"cannot draw {cfg.B} distinct sizes from [{k_min}, {k_max}]")
-        return np.sort(rng.choice(values, size=cfg.B, replace=False))
-    return rng.integers(k_min, k_max + 1, size=cfg.B)
+    return substream(cfg.seed).integers(k_min, k_max + 1, size=cfg.B)
 
 
 def build_incidence(
@@ -132,16 +123,12 @@ def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
 
 
 def recluster(
-    w: IncidenceMatrix,
-    linkage: str,
-    k_final: int,
-    alpha: float = 0.0,
-    leaf_labels: tuple[str, ...] | None = None,
+    w: IncidenceMatrix, linkage: str, k_final: int, alpha: float = 0.0
 ) -> tuple[Clustering, Dendrogram]:
     """The second stage shared by every ensemble: the ensemble dissimilarity
     of ``w``, agglomerated under ``linkage`` and cut at ``k_final`` with
     small-cluster deferral at ``alpha``."""
-    tree = agglomerate(ensemble_dissimilarity(w), linkage, leaf_labels=leaf_labels)
+    tree = agglomerate(ensemble_dissimilarity(w), linkage)
     return cut_with_outlier_deferral(tree, k_final, alpha), tree
 
 
@@ -157,11 +144,6 @@ def ensemble_cluster(
     ``k_final``.  Using the same linkage at both stages follows the finding
     that mixed-linkage pipelines do worse.
     """
-    leaf_labels = None
-    if isinstance(data, CategoricalMatrix):
-        d = hamming(data, normalized=True)
-        leaf_labels = data.row_ids
-    else:
-        d = data
+    d = hamming(data, normalized=True) if isinstance(data, CategoricalMatrix) else data
     w = build_incidence(d, draw_sizes(cfg, d.n), cfg.linkage, cfg.alpha)
-    return recluster(w, cfg.linkage, k_final, cfg.alpha, leaf_labels)
+    return recluster(w, cfg.linkage, k_final, cfg.alpha)

@@ -52,7 +52,6 @@ class Dendrogram:
 
     n: int
     merges: tuple[Merge, ...]
-    leaf_labels: tuple[str, ...] | None = None
     source: DissimilarityMatrix | None = None
 
     def __post_init__(self) -> None:
@@ -60,8 +59,6 @@ class Dendrogram:
             raise DataError("dendrogram needs at least one leaf")
         if len(self.merges) != self.n - 1:
             raise DataError("a dendrogram over n leaves has exactly n-1 merges")
-        if self.leaf_labels is not None and len(self.leaf_labels) != self.n:
-            raise DataError("one leaf label per leaf required")
         seen: set[int] = set()
         size = {i: 1 for i in range(self.n)}
         for t, m in enumerate(self.merges):
@@ -80,11 +77,7 @@ class Dendrogram:
         return np.array([m.height for m in self.merges], dtype=np.float64)
 
 
-def agglomerate(
-    d: DissimilarityMatrix,
-    linkage: str = "AL",
-    leaf_labels: tuple[str, ...] | None = None,
-) -> Dendrogram:
+def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     """Build the full dendrogram of ``d`` under the given linkage.
 
     Repeatedly merges the pair of active clusters at minimal inter-cluster
@@ -124,7 +117,7 @@ def agglomerate(
         sizes[i] += sizes[j]
         merges.append(Merge(int(node[i]), int(node[j]), float(h), int(sizes[i])))
         node[i] = n + t
-    return Dendrogram(n=n, merges=tuple(merges), leaf_labels=leaf_labels, source=d)
+    return Dendrogram(n=n, merges=tuple(merges), source=d)
 
 
 def _components(tree: Dendrogram, k: int) -> list[list[int]]:
@@ -198,8 +191,10 @@ def _quote_label(label: str) -> str:
 
 def to_newick(tree: Dendrogram, labels: tuple[str, ...] | None = None) -> str:
     """Newick serialization with branch lengths taken from merge heights
-    (child branch length = parent height - child height; leaves sit at 0)."""
-    names = labels or tree.leaf_labels or tuple(str(i) for i in range(tree.n))
+    (child branch length = parent height - child height; leaves sit at 0).
+
+    Leaf ``i`` is named ``labels[i]``, or ``i`` when no labels are given."""
+    names = labels or tuple(str(i) for i in range(tree.n))
     if len(names) != tree.n:
         raise ValueError("one label per leaf required")
 

@@ -39,17 +39,20 @@ def read_categorical_csv(
 ) -> tuple[CategoricalMatrix, Clustering | None]:
     """Load a delimited table of categorical values.
 
-    Optional id and truth columns are pulled out before encoding; truth
-    labels are renumbered densely in order of first appearance.
+    Every row, the header included, must have the same width.  Optional id
+    and truth columns are pulled out before encoding; truth labels are
+    renumbered densely in order of first appearance.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise DataError(f"{path}: ragged rows: all rows must have the same length")
     names = rows.pop(0) if header else None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    width = len(rows[0])
     drop: list[int] = []
     ids: list[str] | None = None
     truth_raw: list[str] | None = None

@@ -108,7 +108,6 @@ def en_kmodes(
     k_final: int,
     B: int = 25,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> Clustering:
     """Evidence-accumulation ensemble over ``B`` randomized K-modes runs.
 
@@ -122,7 +121,7 @@ def en_kmodes(
     k_max = int(np.ceil(np.sqrt(x.n)))
     sizes = substream(seed).integers(2, k_max + 1, size=B)
     runs = [
-        relabel_dense(kmodes(x, int(k_b), seed=substream(seed, b), max_iter=max_iter).labels)
+        relabel_dense(kmodes(x, int(k_b), seed=substream(seed, b)).labels)
         for b, k_b in enumerate(sizes)
     ]
-    return recluster(IncidenceMatrix.of(runs), "AL", k_final, leaf_labels=x.row_ids)[0]
+    return recluster(IncidenceMatrix.of(runs), "AL", k_final)[0]

@@ -9,7 +9,6 @@ nothing, as with zero padding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,25 +22,8 @@ def _as_labels(c: Clustering | Sequence[int] | np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Overlap counts between predicted (rows) and true (columns) clusters."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
-        if counts.ndim != 2 or np.any(counts < 0):
-            raise DataError("confusion counts must form a non-negative 2-D array")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(pred, truth) -> ConfusionMatrix:
+def confusion(pred, truth) -> np.ndarray:
+    """Overlap counts between predicted (rows) and true (columns) labels."""
     p, t = _as_labels(pred), _as_labels(truth)
     if p.shape != t.shape:
         raise DataError("predicted and true label vectors must have equal length")
@@ -52,13 +34,13 @@ def confusion(pred, truth) -> ConfusionMatrix:
     kp, kt = int(p.max()) + 1, int(t.max()) + 1
     counts = np.zeros((kp, kt), dtype=np.int64)
     np.add.at(counts, (p, t), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
 def classification_rate(pred, truth) -> float:
     """Fraction of rows correctly assigned under the optimal one-to-one
     matching of predicted to true cluster labels."""
-    cm = confusion(pred, truth).counts
+    cm = confusion(pred, truth)
     rows, cols = linear_sum_assignment(cm, maximize=True)
     return float(cm[rows, cols].sum()) / cm.sum()
 

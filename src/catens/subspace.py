@@ -180,4 +180,4 @@ def subspace_ensemble(
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))
         runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0])
-    return recluster(IncidenceMatrix.of(runs), final_linkage, k_final, base_cfg.alpha, x.row_ids)
+    return recluster(IncidenceMatrix.of(runs), final_linkage, k_final, base_cfg.alpha)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,20 +85,22 @@ class TestClusterCommand:
         assert out.read_text().splitlines()[1] == '"a,1",0'
         assert out.read_text().splitlines()[3] == '"c""q",1'
 
-    def test_fasta_newick_leafset(self, tmp_path):
+    @pytest.mark.parametrize("method", ["HCAL", "ENAL", "WR"])
+    def test_fasta_newick_leafset(self, tmp_path, method):
+        # one method per producer of the tree --newick writes: agglomerate,
+        # ensemble_cluster and subspace_ensemble
         fasta = tmp_path / "aln.fasta"
         records = [(f"rec{i}", ("ACGT" if i < 3 else "TGCA") * 3) for i in range(6)]
         catio.write_fasta(fasta, records)
         nwk = tmp_path / "tree.nwk"
         out = tmp_path / "labels.csv"
         code = main([
-            "cluster", str(fasta), "--method", "ENAL", "--k", "2",
+            "cluster", str(fasta), "--method", method, "--k", "2", "--blocks", "3",
             "--ensemble-size", "5", "--output", str(out), "--newick", str(nwk),
         ])
         assert code == 0
-        text = nwk.read_text()
-        for name, _ in records:
-            assert name in text
+        leaves = re.findall(r"[(,]([^(),:;]+):", nwk.read_text())
+        assert sorted(leaves) == [name for name, _ in records]
 
     def test_byte_identical_reruns(self, tmp_path):
         rng = substream(62)
@@ -152,6 +156,32 @@ class TestClusterCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\nc\n", encoding="utf-8")
         assert main(["cluster", str(bad), "--method", "HCAL", "--k", "2"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--id-column", "--truth-column"])
+    def test_ragged_csv_with_extracted_column_is_data_error(self, tmp_path, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,c\nd\n", encoding="utf-8")
+        assert main(["cluster", str(bad), "--method", "HCAL", "--k", "2", flag, "2"]) == 2
+
+    @pytest.mark.parametrize("name", ["bad.csv", "bad.fasta"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, name, capsys):
+        bad = tmp_path / name
+        bad.write_bytes(b">r1\nAC\xff\n>r2\nACG\n" if name.endswith(".fasta") else b"a,\xff\nb,c\n")
+        assert main(["cluster", str(bad), "--method", "HCAL", "--k", "2"]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_multi_character_delimiter_is_usage_error(self, tmp_path):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(71))
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", str(data), "--method", "HCAL", "--k", "2", "--delimiter", ";;"])
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize("method", ["WOR", "WR"])
+    def test_zero_blocks_is_usage_error(self, tmp_path, method):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(72))
+        assert main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"]) == 1
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         rng = substream(66)
@@ -234,6 +264,29 @@ class TestExperimentCommand:
     def test_unknown_method_is_usage_error(self):
         assert main(["experiment", "--design", "D10", "--methods", "NOPE"]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_workers_is_usage_error(self, workers):
+        argv = ["experiment", "--design", "D10", "--methods", "HCAL", "--workers", workers]
+        assert main(argv) == 1
+
+    def test_input_is_read_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.csv"
+        data.write_text("a,a,0\na,a,0\nb,b,1\nb,b,1\n", encoding="utf-8")
+        calls = []
+        read = catio.read_categorical_csv
+
+        def counting_read(*args, **kwargs):
+            calls.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(catio, "read_categorical_csv", counting_read)
+        code = main([
+            "experiment", "--input", str(data), "--truth-column", "2",
+            "--methods", "HCAL,KMODES", "--replicates", "3",
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(methods=())
@@ -241,6 +294,8 @@ class TestExperimentCommand:
             ExperimentSpec(methods=("HCAL",), replicates=0, design="D1")
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("HCAL",))  # no source
+        with pytest.raises(ValueError):
+            ExperimentSpec(methods=("HCAL",), input="d.csv")  # named but not loaded
 
     def test_parallel_workers_match_serial(self, tmp_path):
         spec = ExperimentSpec(

@@ -13,7 +13,6 @@ from catens.core import (
     hamming,
     mismatch_counts,
     relabel_dense,
-    trichotomize,
 )
 from catens.rng import substream
 
@@ -171,32 +170,6 @@ class TestHamming:
             dist = (a != b).mean(axis=1)
             expected = p * (1 - p) / J
             assert abs(dist.var(ddof=1) - expected) <= 0.10 * expected
-
-
-class TestTrichotomize:
-    def test_nine_point_column(self):
-        x = trichotomize([[v] for v in range(1, 10)])
-        assert x.codes[:, 0].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        assert x.cardinalities.tolist() == [3]
-
-    def test_one_value_per_bin(self):
-        assert trichotomize([[1], [5], [9]]).codes[:, 0].tolist() == [0, 1, 2]
-
-    def test_sign_irrelevant(self):
-        assert trichotomize([[-3], [-2], [-1]]).codes[:, 0].tolist() == [0, 1, 2]
-
-    def test_constant_column_rejected(self):
-        with pytest.raises(DataError):
-            trichotomize([[1.0], [1.0], [1.0]])
-
-    def test_two_distinct_values_rejected(self):
-        with pytest.raises(DataError):
-            trichotomize([[1.0], [2.0], [1.0]])
-
-    def test_ties_fall_in_lower_bin(self):
-        x = trichotomize([[1], [1], [1], [1], [5], [9], [9], [9], [9]])
-        # 33rd percentile is 1, 66th is 9: the 5 goes to the middle bin
-        assert x.codes[:, 0].tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1]
 
 
 class TestDissimilarityMatrix:

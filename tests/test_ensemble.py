@@ -50,13 +50,6 @@ class TestDrawSizes:
         with pytest.raises(ValueError):
             draw_sizes(EnsembleConfig(B=5), 1)
 
-    def test_distinct_mode(self):
-        cfg = EnsembleConfig(B=5, k_min=2, k_max=9, distinct=True, seed=2)
-        sizes = draw_sizes(cfg, 100)
-        assert len(set(sizes.tolist())) == 5
-        with pytest.raises(ValueError):
-            draw_sizes(EnsembleConfig(B=20, k_min=2, k_max=9, distinct=True), 100)
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             EnsembleConfig(B=0)

@@ -122,9 +122,9 @@ class TestExports:
 
     def test_newick_file(self, tmp_path):
         x = encode([["A", "T"], ["T", "A"], ["A", "A"]], row_ids=["r1", "r2", "r3"])
-        tree = agglomerate(hamming(x), "AL", leaf_labels=x.row_ids)
+        tree = agglomerate(hamming(x), "AL")
         path = tmp_path / "t.nwk"
-        catio.write_newick(path, tree)
+        catio.write_newick(path, tree, labels=x.row_ids)
         text = path.read_text()
         assert text.endswith(";\n")
         for rid in ("r1", "r2", "r3"):

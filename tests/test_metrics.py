@@ -59,7 +59,7 @@ class TestClassificationRate:
             n = int(rng.integers(2, 12))
             pred = rng.integers(0, 3, size=n)
             truth = rng.integers(0, 3, size=n)
-            cm = confusion(pred, truth).counts
+            cm = confusion(pred, truth)
             assert classification_rate(pred, truth) >= cm.max() / n
             assert classification_rate(pred, truth) >= 1 / n
 
@@ -70,9 +70,7 @@ class TestClassificationRate:
 
 class TestConfusion:
     def test_counts(self):
-        cm = confusion([0, 0, 1], [0, 1, 1])
-        assert cm.counts.tolist() == [[1, 1], [0, 1]]
-        assert cm.total == 3
+        assert confusion([0, 0, 1], [0, 1, 1]).tolist() == [[1, 1], [0, 1]]
 
 
 class TestReplicateSummary:
