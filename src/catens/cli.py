@@ -2,8 +2,10 @@
 
 Subcommands: ``cluster`` (one dataset in, labels and optional Newick out),
 ``experiment`` (replicated method comparison with a mean(sd) results
-table), and ``simulate`` (export generated datasets).  Exit codes: 0 on
-success, 1 for usage errors, 2 for data errors.
+table), and ``simulate`` (export generated datasets).  The method name alone
+picks the pipeline; WOR and WR wrap ENAL in random-subspace ensembling.  A
+flag that no method of the run reads (see ``READS``) is refused.  Exit
+codes: 0 on success, 1 for usage errors, 2 for data errors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import io as catio
@@ -27,6 +29,13 @@ from .subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 HC_METHODS = {"HCSL": "SL", "HCAL": "AL", "HCCL": "CL"}
 EN_METHODS = {"ENSL": "SL", "ENAL": "AL", "ENCL": "CL"}
 METHODS = (*HC_METHODS, *EN_METHODS, "KMODES", "ENKM", "WOR", "WR")
+# which of the refusable options (``_FLAGS``) each method reads; ``seed`` and
+# ``normalize`` are never refused, as --save-dissimilarity reads ``normalize``
+READS = {
+    **dict.fromkeys(HC_METHODS, {"alpha"}), **dict.fromkeys(EN_METHODS, {"B", "alpha"}),
+    "KMODES": set(), "ENKM": {"B"}, "WOR": {"B", "alpha", "blocks"}, "WR": {"B", "alpha", "blocks"},
+}
+_FLAGS = {"B": "--ensemble-size", "alpha": "--alpha", "blocks": "--blocks"}
 
 SEQ_DESIGNS = {"low-noise": SEQ_LOW_NOISE, "high-noise": SEQ_HIGH_NOISE}
 
@@ -38,10 +47,8 @@ class MethodOptions:
     B: int = 25
     alpha: float = 0.0
     seed: int = 0
-    subspace: str = "none"
     blocks: int | None = None
     normalize: bool = False
-    final_linkage: str = "AL"
 
     def __post_init__(self) -> None:
         if self.blocks is not None and self.blocks < 1:
@@ -58,21 +65,9 @@ def run_method(
     name = name.upper()
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; expected one of {', '.join(METHODS)}")
-    mode = opts.subspace
-    if name == "WOR":
-        mode = "wor"
-    elif name == "WR":
-        mode = "wr"
-    if mode not in ("none", "wor", "wr"):
-        raise ValueError(f"unknown subspace mode {mode!r}")
-    if mode != "none":
-        if name in ("KMODES", "ENKM") or name in HC_METHODS:
-            raise ValueError(f"subspace ensembling is not defined for {name}")
-        base_linkage = EN_METHODS.get(name, "AL")
-        cfg = EnsembleConfig(
-            B=opts.B, linkage=base_linkage, seed=child_seed(opts.seed, 2), alpha=opts.alpha
-        )
-        if mode == "wor":
+    if name in ("WOR", "WR"):
+        cfg = EnsembleConfig(B=opts.B, seed=child_seed(opts.seed, 2), alpha=opts.alpha)
+        if name == "WOR":
             h = None
             if opts.blocks:
                 if x.J % opts.blocks != 0:
@@ -81,7 +76,7 @@ def run_method(
             subs = wor_subspaces(x.J, h=h, seed=child_seed(opts.seed, 1))
         else:
             subs = wr_subspaces(x.J, M=opts.blocks or 200, seed=child_seed(opts.seed, 1))
-        return subspace_ensemble(x, subs, cfg, k, final_linkage=opts.final_linkage)
+        return subspace_ensemble(x, subs, cfg, k)
     if name in HC_METHODS:
         d = hamming(x, normalized=opts.normalize)
         tree = agglomerate(d, HC_METHODS[name])
@@ -135,16 +130,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown design {self.design!r}")
         if self.seq_design is not None and self.seq_design not in SEQ_DESIGNS:
             raise ValueError(f"unknown sequence design {self.seq_design!r}")
+        if self.seq_design is None and (self.seq_j, self.seq_sizes) != (None, None):
+            raise ValueError("seq_j and seq_sizes apply only to seq_design")
 
 
 def _seq_design(name: str, J: int | None, sizes: tuple[int, ...] | None) -> SeqDesign:
-    base = SEQ_DESIGNS[name]
-    kwargs = {}
-    if J is not None:
-        kwargs["J"] = J
-    if sizes is not None:
-        kwargs["sizes"] = sizes
-    return SeqDesign(block_probs=base.block_probs, **kwargs) if kwargs else base
+    changes = {"J": J, "sizes": sizes}
+    return replace(SEQ_DESIGNS[name], **{k: v for k, v in changes.items() if v is not None})
 
 
 def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalMatrix, Clustering | None]:
@@ -206,6 +198,9 @@ def _load_input(args: argparse.Namespace) -> tuple[CategoricalMatrix, Clustering
     suffix = Path(args.input).suffix.lower()
     kind = args.format or ("fasta" if suffix in catio.FASTA_SUFFIXES else "csv")
     if kind == "fasta":
+        csv_only = {"header": False, "delimiter": ",", "id_column": None, "truth_column": None}
+        if flags := ["--" + f.replace("_", "-") for f, v in csv_only.items() if getattr(args, f) != v]:
+            raise ValueError(f"only CSV input reads {', '.join(flags)}")
         gaps = catio.DEFAULT_GAP_SYMBOLS if args.gap_symbol is None else (args.gap_symbol,)
         return catio.load_fasta_matrix(args.input, gap_symbols=gaps), None
     return catio.read_categorical_csv(
@@ -241,19 +236,18 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble-size", type=int, default=25, metavar="B",
-                   help="base clusterings per ensemble (default 25)")
+    p.add_argument("--ensemble-size", type=int, default=25, metavar="B", dest="B",
+                   help="base clusterings per ensemble (default 25; EN methods, ENKM, WOR, WR)")
     p.add_argument("--alpha", type=float, default=0.0,
-                   help="small-cluster deferral fraction (default 0)")
-    p.add_argument("--linkage", default="AL",
-                   help="final combination linkage for subspace runs (default AL)")
-    p.add_argument("--subspace", choices=["none", "wor", "wr"], default="none",
-                   help="wrap the method in subspace ensembling")
+                   help="small-cluster deferral fraction (default 0; HC and EN methods, WOR, WR)")
     p.add_argument("--blocks", type=int, metavar="M",
-                   help="subspace count (WR default 200; WOR default random lengths)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+                   help="subspace count (WOR, WR; WR default 200, WOR default random lengths)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed (default 0); allowed with every method, though HC methods draw none")
     p.add_argument("--normalize", action="store_true",
-                   help="divide mismatch counts by compared positions")
+                   help="divide mismatch counts by compared positions in HC methods and "
+                        "--save-dissimilarity; allowed with every method, though ensemble "
+                        "methods always normalize and K-modes counts raw mismatches")
     p.add_argument("--config", help="flat key=value file providing flag defaults")
 
 
@@ -327,16 +321,15 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
-def _options_from_args(args: argparse.Namespace) -> MethodOptions:
-    return MethodOptions(
-        B=args.ensemble_size,
-        alpha=args.alpha,
-        seed=args.seed,
-        subspace=args.subspace,
-        blocks=args.blocks,
-        normalize=args.normalize,
-        final_linkage=args.linkage,
-    )
+def _options(args: argparse.Namespace, methods: tuple[str, ...]) -> MethodOptions:
+    """The method flags as options; one set away from its default that no
+    method of the run reads is a usage error."""
+    opts = MethodOptions(**{f.name: getattr(args, f.name) for f in fields(MethodOptions)})
+    read = set().union(*(READS.get(m.upper(), set()) for m in methods))
+    for f in fields(MethodOptions):
+        if f.name in _FLAGS and f.name not in read and getattr(opts, f.name) != f.default:
+            raise ValueError(f"{_FLAGS[f.name]} is not read by {', '.join(methods)}")
+    return opts
 
 
 def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
@@ -346,8 +339,9 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    opts = _options(args, (args.method,))
     x, truth = _load_input(args)
-    labels, tree = run_method(args.method, x, args.k, _options_from_args(args))
+    labels, tree = run_method(args.method, x, args.k, opts)
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
     catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
     if args.newick:
@@ -362,8 +356,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
+    options = _options(args, methods)
     spec = ExperimentSpec(
-        methods=tuple(m.strip().upper() for m in args.methods.split(",") if m.strip()),
+        methods=methods,
         replicates=args.replicates,
         k_final=args.k,
         seed=args.seed,
@@ -373,7 +369,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seq_sizes=_parse_sizes(args.seq_sizes),
         input=args.input,
         data=_load_input(args) if args.input else None,
-        options=_options_from_args(args),
+        options=options,
         workers=args.workers,
     )
     results = run_experiment(spec)
@@ -385,6 +381,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.seq_design and (args.seq_j, args.seq_sizes) != (None, None):
+        raise ValueError("--seq-j and --seq-sizes apply only to --seq-design")
     if args.design:
         x, truth = gen_lowdim(DESIGNS[args.design], seed=args.seed, replicate=args.replicate)
     elif args.seq_design:

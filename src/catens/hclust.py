@@ -91,18 +91,14 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     work = d.values.copy()
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(n, dtype=np.int64)
-    reps = np.arange(n, dtype=np.int64)   # smallest original leaf index per slot
     node = np.arange(n, dtype=np.int64)   # dendrogram node id per slot
     merges: list[Merge] = []
     for t in range(n - 1):
         h = work.min()
+        # a merge keeps the lower slot, so each slot's index is its cluster's
+        # smallest leaf and the tie-break is the first i < j in row-major order
         pos = np.argwhere(work == h)
-        pos = pos[pos[:, 0] < pos[:, 1]]
-        lo = np.minimum(reps[pos[:, 0]], reps[pos[:, 1]])
-        hi = np.maximum(reps[pos[:, 0]], reps[pos[:, 1]])
-        i, j = pos[np.argmin(lo * n + hi)]
-        if reps[i] > reps[j]:
-            i, j = j, i
+        i, j = pos[pos[:, 0] < pos[:, 1]][0]
         if link == "SL":
             row = np.minimum(work[i], work[j])
         elif link == "CL":

@@ -137,16 +137,17 @@ def load_fasta_matrix(
     """Encode pre-aligned FASTA records as a categorical table.
 
     All records must share one aligned length; every listed gap symbol is
-    folded into the canonical ``-`` placeholder.
+    folded into the first one, and any other character is a residue.
     """
     records = read_fasta(path)
     lengths = {len(seq) for _, seq in records}
     if len(lengths) != 1:
         raise DataError(f"{path}: aligned sequences must share one length, found {sorted(lengths)}")
+    gap = next(iter(gap_symbols), None)
     gaps = set(gap_symbols)
-    rows = [["-" if ch in gaps else ch for ch in seq] for _, seq in records]
+    rows = [[gap if ch in gaps else ch for ch in seq] for _, seq in records]
     ids = [name for name, _ in records]
-    return encode(rows, gap_symbol="-", row_ids=ids)
+    return encode(rows, gap_symbol=gap, row_ids=ids)
 
 
 def matrix_to_fasta_records(x: CategoricalMatrix) -> list[tuple[str, str]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CategoricalMatrix, Clustering, DataError, mismatch_counts, relabel_dense
-from .ensemble import IncidenceMatrix, recluster
+from .ensemble import EnsembleConfig, IncidenceMatrix, draw_sizes, recluster
 from .rng import substream
 
 
@@ -116,10 +116,7 @@ def en_kmodes(
     dissimilarity, re-clustered under average linkage and cut at
     ``k_final``.
     """
-    if B < 1:
-        raise ValueError("ensemble size B must be >= 1")
-    k_max = int(np.ceil(np.sqrt(x.n)))
-    sizes = substream(seed).integers(2, k_max + 1, size=B)
+    sizes = draw_sizes(EnsembleConfig(B=B, seed=seed), x.n)
     runs = [
         relabel_dense(kmodes(x, int(k_b), seed=substream(seed, b)).labels)
         for b, k_b in enumerate(sizes)

@@ -9,7 +9,7 @@ nothing, as with zero padding).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -68,21 +68,15 @@ def format_cell(mean: float, sd: float) -> str:
     return cell
 
 
-def format_results_table(
-    results: Mapping[str, Mapping[str, tuple[float, float]]],
-    columns: Iterable[str] | None = None,
-) -> str:
+def format_results_table(results: Mapping[str, Mapping[str, tuple[float, float]]]) -> str:
     """TSV table with one row per method and one ``mean(sd)`` cell per
-    dataset column."""
+    dataset column, columns in order of first appearance."""
     methods = list(results)
-    if columns is None:
-        cols: list[str] = []
-        for per_method in results.values():
-            for name in per_method:
-                if name not in cols:
-                    cols.append(name)
-    else:
-        cols = list(columns)
+    cols: list[str] = []
+    for per_method in results.values():
+        for name in per_method:
+            if name not in cols:
+                cols.append(name)
     lines = ["\t".join(["method", *cols])]
     for method in methods:
         cells = []

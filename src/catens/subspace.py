@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import stirling2
 
 from .core import CategoricalMatrix, Clustering, DataError
 from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster
@@ -112,17 +113,6 @@ def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
     return SubspaceSet(subsets=tuple(subsets), mode="WR", source_J=J)
 
 
-def _stirling2_row(n: int) -> list[int]:
-    row = [0] * (n + 1)
-    row[0] = 1
-    for m in range(1, n + 1):
-        new = [0] * (n + 1)
-        for k in range(1, m + 1):
-            new[k] = k * row[k] + row[k - 1]
-        row = new
-    return row
-
-
 def distinct_count_pmf(
     J: int,
     n_samples: int | None = None,
@@ -131,17 +121,16 @@ def distinct_count_pmf(
     """Distribution of the number of distinct values in ``J`` draws with
     replacement from ``J`` objects, as a vector over ``k = 1..J``.
 
-    Exact for ``J <= 12`` (via a Stirling-number recurrence for the
+    Exact for ``J <= 12`` (via Stirling numbers of the second kind for the
     surjection counts); beyond that a Monte Carlo estimate over
     ``n_samples`` bootstrap draws is returned.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     if J <= 12 and n_samples is None:
-        s2 = _stirling2_row(J)
         total = J**J
         probs = [
-            math.comb(J, k) * math.factorial(k) * s2[k] / total
+            math.comb(J, k) * math.factorial(k) * stirling2(J, k, exact=True) / total
             for k in range(1, J + 1)
         ]
         return np.array(probs, dtype=np.float64)
@@ -161,15 +150,14 @@ def subspace_ensemble(
     s: SubspaceSet,
     base_cfg: EnsembleConfig,
     k_final: int,
-    final_linkage: str = "AL",
 ) -> tuple[Clustering, Dendrogram]:
     """Cluster every column subset, then ensemble the per-subspace results.
 
     Each subspace is clustered by :func:`ensemble_cluster` under
     ``base_cfg`` (ENAL by default) at its own size ``K_r`` drawn from the
     base size range; the resulting labelings form an incidence matrix whose
-    ensemble dissimilarity is re-agglomerated (average linkage by default)
-    and cut at ``k_final``.  Subspace pipelines use substreams keyed by the
+    ensemble dissimilarity is re-agglomerated under average linkage and cut
+    at ``k_final``.  Subspace pipelines use substreams keyed by the
     subset index and can run in any order.
     """
     runs = []
@@ -180,4 +168,4 @@ def subspace_ensemble(
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))
         runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0])
-    return recluster(IncidenceMatrix.of(runs), final_linkage, k_final, base_cfg.alpha)
+    return recluster(IncidenceMatrix.of(runs), "AL", k_final, base_cfg.alpha)

@@ -166,6 +166,7 @@ def _highdim_cr(mode: str, J: int, replicates: int, M: int = 200) -> float:
     return float(np.mean([_highdim_rate(mode, J, M, r) for r in range(replicates)]))
 
 
+@pytest.mark.slow
 def test_criterion_4_wr_at_desk_scale():
     start = time.time()
     # run at the paper's J=50,000: at J=5,000 the between-vs-within gap is
@@ -198,6 +199,7 @@ def test_criterion_4_wor_at_desk_scale():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_supplementary_paper_scale():
     # not part of the stated criterion: demonstrates that the WR/WOR contrast
     # holds at the published dimension J=50,000

@@ -48,17 +48,6 @@ class TestRunMethod:
         with pytest.raises(ValueError):
             run_method("DBSCAN", x, 2, MethodOptions())
 
-    def test_subspace_flag_wraps_ensemble_methods(self):
-        x, truth = gen_lowdim(DESIGNS["D10"], seed=4)
-        opts = MethodOptions(B=5, seed=6, subspace="wr", blocks=8)
-        labels, tree = run_method("ENCL", x, 2, opts)
-        assert labels.n == 50
-
-    def test_subspace_flag_rejected_for_kmodes(self):
-        x, _ = gen_lowdim(DESIGNS["D10"], seed=4)
-        with pytest.raises(ValueError):
-            run_method("KMODES", x, 2, MethodOptions(subspace="wr"))
-
 
 class TestClusterCommand:
     def test_labels_roundtrip_and_row_count(self, tmp_path):
@@ -85,8 +74,12 @@ class TestClusterCommand:
         assert out.read_text().splitlines()[1] == '"a,1",0'
         assert out.read_text().splitlines()[3] == '"c""q",1'
 
-    @pytest.mark.parametrize("method", ["HCAL", "ENAL", "WR"])
-    def test_fasta_newick_leafset(self, tmp_path, method):
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("HCAL", []), ("ENAL", ["--ensemble-size", "5"]), ("WR", ["--ensemble-size", "5", "--blocks", "3"])],
+        ids=["HCAL", "ENAL", "WR"],
+    )
+    def test_fasta_newick_leafset(self, tmp_path, method, flags):
         # one method per producer of the tree --newick writes: agglomerate,
         # ensemble_cluster and subspace_ensemble
         fasta = tmp_path / "aln.fasta"
@@ -95,8 +88,8 @@ class TestClusterCommand:
         nwk = tmp_path / "tree.nwk"
         out = tmp_path / "labels.csv"
         code = main([
-            "cluster", str(fasta), "--method", method, "--k", "2", "--blocks", "3",
-            "--ensemble-size", "5", "--output", str(out), "--newick", str(nwk),
+            "cluster", str(fasta), "--method", method, "--k", "2",
+            *flags, "--output", str(out), "--newick", str(nwk),
         ])
         assert code == 0
         leaves = re.findall(r"[(,]([^(),:;]+):", nwk.read_text())
@@ -182,6 +175,24 @@ class TestClusterCommand:
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, substream(72))
         assert main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--header"], ["--delimiter", ";"], ["--id-column", "0"], ["--truth-column", "2"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_csv_only_flag_on_fasta_is_usage_error(self, tmp_path, flag, capsys):
+        fasta = tmp_path / "aln.fasta"
+        catio.write_fasta(fasta, [("a", "ACGT"), ("b", "ACGA"), ("c", "TTGA")])
+        assert main(["cluster", str(fasta), "--method", "HCAL", "--k", "2", *flag]) == 1
+        assert f"only CSV input reads {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--subspace", "wr"], ["--linkage", "SL"]], ids=lambda flag: flag[0])
+    def test_deleted_flags_are_usage_errors(self, tmp_path, flag):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(73))
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", str(data), "--method", "ENAL", "--k", "2", *flag])
+        assert err.value.code == 1
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         rng = substream(66)
@@ -269,6 +280,16 @@ class TestExperimentCommand:
         argv = ["experiment", "--design", "D10", "--methods", "HCAL", "--workers", workers]
         assert main(argv) == 1
 
+    def test_flag_read_by_any_listed_method(self):
+        argv = ["experiment", "--design", "D10", "--alpha", "0.05", "--methods"]
+        assert main(argv + ["KMODES"]) == 1
+        assert main(argv + ["HCAL,KMODES"]) == 0
+
+    def test_seq_flags_need_seq_design(self):
+        assert main(["experiment", "--design", "D1", "--methods", "HCAL", "--seq-j", "5"]) == 1
+        with pytest.raises(ValueError):
+            ExperimentSpec(methods=("HCAL",), design="D1", seq_sizes=(25, 25))
+
     def test_input_is_read_once(self, tmp_path, monkeypatch):
         data = tmp_path / "d.csv"
         data.write_text("a,a,0\na,a,0\nb,b,1\nb,b,1\n", encoding="utf-8")
@@ -335,8 +356,55 @@ class TestSimulateCommand:
         x, _ = catio.read_categorical_csv(out, header=True)
         assert x.n == 6 and x.J == 4
 
+    def test_seq_flags_need_seq_design(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--design", "D1", "--seq-j", "5", "--output", str(out)]) == 1
+        assert not out.exists()
+
     def test_bad_noise_spec_is_usage_error(self, tmp_path):
         assert main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")]) == 1
+
+
+# which of the refusable flags each method reads
+READ_FLAGS = {
+    **dict.fromkeys(["HCSL", "HCAL", "HCCL"], {"--alpha"}),
+    **dict.fromkeys(["ENSL", "ENAL", "ENCL"], {"--ensemble-size", "--alpha"}),
+    "KMODES": set(),
+    "ENKM": {"--ensemble-size"},
+    "WOR": {"--ensemble-size", "--alpha", "--blocks"},
+    "WR": {"--ensemble-size", "--alpha", "--blocks"},
+}
+FLAG_VALUES = {"--ensemble-size": "5", "--alpha": "0.1", "--blocks": "2"}
+
+
+class TestMethodFlags:
+    @pytest.mark.parametrize(
+        "method, flag",
+        [(m, f) for m, read in READ_FLAGS.items() for f in FLAG_VALUES if f not in read],
+    )
+    def test_flag_no_method_reads_is_usage_error(self, tmp_path, capsys, method, flag):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(74))
+        argv = ["cluster", str(data), "--method", method, "--k", "2", flag, FLAG_VALUES[flag]]
+        assert main(argv) == 1
+        assert f"{flag} is not read by {method}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, flag", [("ENAL", "--ensemble-size"), ("HCAL", "--alpha"), ("WR", "--blocks")]
+    )
+    def test_flag_a_method_reads_is_accepted(self, tmp_path, method, flag):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(75))
+        out = tmp_path / "labels.csv"
+        argv = ["cluster", str(data), "--method", method, "--k", "2", flag, FLAG_VALUES[flag]]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 17
+
+    def test_default_value_is_not_refused(self, tmp_path):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(76))
+        argv = ["cluster", str(data), "--method", "KMODES", "--k", "2", "--output", str(tmp_path / "l.csv")]
+        assert main(argv + ["--alpha", "0", "--ensemble-size", "25"]) == 0
 
 
 class TestConfigFile:

@@ -78,6 +78,15 @@ class TestFasta:
         catio.write_fasta(out, catio.matrix_to_fasta_records(x))
         assert out.read_bytes() == path.read_bytes()
 
+    def test_listed_gap_symbols_fold_into_the_first(self, tmp_path):
+        records = [("a", "A-GN"), ("b", "ACG?"), ("c", "ACGT")]
+        path = tmp_path / "aln.fasta"
+        catio.write_fasta(path, records)
+        x = catio.load_fasta_matrix(path, gap_symbols=("N", "?"))
+        assert x.codes[0, 1] != x.gap_code
+        assert x.codes[0, 3] == x.gap_code and x.codes[1, 3] == x.gap_code
+        assert catio.matrix_to_fasta_records(x) == [("a", "A-GN"), ("b", "ACGN"), ("c", "ACGT")]
+
     def test_dot_gap_normalized(self, tmp_path):
         path = tmp_path / "aln.fasta"
         catio.write_fasta(path, [("a", "A.G"), ("b", "ATG")])

@@ -100,7 +100,7 @@ class TestTableFormatting:
             "ENAL": {"D10": (0.96, 0.02), "D1": (0.88, 0.0)},
             "HCAL": {"D10": (0.96, 0.0)},
         }
-        text = format_results_table(results, columns=["D10", "D1"])
+        text = format_results_table(results)
         lines = text.rstrip("\n").split("\n")
         assert lines[0] == "method\tD10\tD1"
         assert lines[1] == "ENAL\t0.96(0.02)\t0.88"

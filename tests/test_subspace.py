@@ -5,7 +5,7 @@ from catens.core import DataError
 from catens.ensemble import EnsembleConfig, ensemble_cluster
 from catens.metrics import classification_rate
 from catens.rng import substream
-from catens.simgen import gen_noise
+from catens.simgen import DESIGNS, gen_lowdim, gen_noise
 from catens.subspace import (
     SubspaceSet,
     distinct_count_pmf,
@@ -133,6 +133,12 @@ class TestSubspaceEnsemble:
         cfg = EnsembleConfig(B=6, seed=10)
         labels, _ = subspace_ensemble(x, s, cfg, 2)
         assert classification_rate(labels, truth) == 1.0
+
+    def test_other_base_linkage(self):
+        x, _ = gen_lowdim(DESIGNS["D10"], seed=4)
+        cfg = EnsembleConfig(B=5, linkage="CL", seed=6)
+        labels, tree = subspace_ensemble(x, wr_subspaces(x.J, M=8, seed=6), cfg, 2)
+        assert labels.n == 50 and tree.n == 50
 
     def test_subset_index_out_of_range_rejected(self):
         x = two_block_table(sizes=(3, 3), J=4)
