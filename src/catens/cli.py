@@ -149,23 +149,11 @@ def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalM
     return spec.data
 
 
-def _experiment_k(spec: ExperimentSpec, truth: Clustering | None) -> int:
-    if spec.k_final is not None:
-        return spec.k_final
-    if spec.design is not None:
-        return DESIGNS[spec.design].K
-    if spec.seq_design is not None:
-        return 5
-    if truth is not None:
-        return truth.K
-    raise ValueError("k_final is required when the input carries no truth labels")
-
-
 def _replicate_rates(spec: ExperimentSpec, replicate: int) -> dict[str, float]:
     x, truth = _experiment_data(spec, replicate)
     if truth is None:
         raise DataError("classification rates need truth labels; none were provided")
-    k = _experiment_k(spec, truth)
+    k = truth.K if spec.k_final is None else spec.k_final
     method_seed = child_seed(spec.seed, 1)
     rates: dict[str, float] = {}
     for mi, method in enumerate(spec.methods):
@@ -292,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--replicate", type=int, default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination")
-    ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output only)")
-    ps.add_argument("--delimiter", type=_one_char, default=",")
+    ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output of --design or --seq-design)")
+    ps.add_argument("--delimiter", type=_one_char, default=",", help="CSV output delimiter (default ',')")
     return parser
 
 
@@ -381,8 +369,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    out = Path(args.output)
+    fasta = out.suffix.lower() in catio.FASTA_SUFFIXES
     if not args.seq_design and (args.seq_j, args.seq_sizes) != (None, None):
         raise ValueError("--seq-j and --seq-sizes apply only to --seq-design")
+    if args.truth_out and (args.noise or not fasta):
+        raise ValueError("--truth-out applies only to FASTA output of --design or --seq-design")
+    if fasta and args.delimiter != ",":
+        raise ValueError("--delimiter applies only to CSV output")
     if args.design:
         x, truth = gen_lowdim(DESIGNS[args.design], seed=args.seed, replicate=args.replicate)
     elif args.seq_design:
@@ -394,10 +388,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError("--noise expects N,J,S integers") from None
         x, truth = gen_noise(n, j, s, seed=args.seed, replicate=args.replicate), None
-    out = Path(args.output)
-    if out.suffix.lower() in catio.FASTA_SUFFIXES:
+    if fasta:
         catio.write_fasta(out, catio.matrix_to_fasta_records(x))
-        if truth is not None and args.truth_out:
+        if args.truth_out:
             ids = x.row_ids or tuple(str(i) for i in range(x.n))
             catio.write_labels_csv(args.truth_out, ids, truth.labels)
     else:

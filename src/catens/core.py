@@ -82,8 +82,6 @@ class CategoricalMatrix:
     def select_columns(self, indices: Sequence[int]) -> "CategoricalMatrix":
         """Restriction to the given columns, preserving metadata."""
         idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            raise DataError("cannot restrict to an empty column set")
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[int(j)] for j in idx)
@@ -163,7 +161,7 @@ def encode(
     the column alphabet.  The code-to-string maps are retained so the table
     round-trips through :meth:`CategoricalMatrix.decode`.
     """
-    rows = [list(r) for r in raw_table]
+    rows = list(raw_table)
     if not rows or not rows[0]:
         raise DataError("empty table")
     n, J = len(rows), len(rows[0])

@@ -16,35 +16,29 @@ from typing import Sequence
 import numpy as np
 
 from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, hamming, mismatch_counts
-from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral, normalize_linkage
+from .hclust import Dendrogram, agglomerate, check_linkage, cut_with_outlier_deferral
 from .rng import substream
 
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """``n x B`` table whose column ``b`` holds each row's cluster index in
-    the ``b``-th base clustering.  Labels are only comparable within a
-    column, never across columns."""
+    the ``b``-th base clustering.  Labels are only compared within a column,
+    so any integers serve and only the shape (non-empty, 2-D) is checked."""
 
     entries: np.ndarray
-    sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         entries = np.ascontiguousarray(np.asarray(self.entries, dtype=np.int64))
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise DataError("incidence matrix must be a non-empty 2-D array")
-        if len(self.sizes) != entries.shape[1]:
-            raise DataError("one cluster count per column required")
-        for b, k in enumerate(self.sizes):
-            if not np.array_equal(np.unique(entries[:, b]), np.arange(k)):
-                raise DataError(f"column {b} must use labels exactly [0, {k})")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def of(cls, runs: Sequence[Clustering]) -> IncidenceMatrix:
         """Incidence matrix with one column per clustering, in run order."""
-        return cls(entries=np.stack([c.labels for c in runs], axis=1), sizes=tuple(c.K for c in runs))
+        return cls(entries=np.stack([c.labels for c in runs], axis=1))
 
     @property
     def n(self) -> int:
@@ -74,13 +68,11 @@ class EnsembleConfig:
             raise ValueError("ensemble size B must be >= 1")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError("alpha must lie in [0, 0.5)")
-        object.__setattr__(self, "linkage", normalize_linkage(self.linkage))
+        check_linkage(self.linkage)
 
     def k_range(self, n: int) -> tuple[int, int]:
         k_min = 2 if self.k_min is None else self.k_min
         k_max = math.ceil(math.sqrt(n)) if self.k_max is None else self.k_max
-        if k_max < k_min:
-            raise ValueError(f"empty size range [{k_min}, {k_max}] (n={n})")
         if not 2 <= k_min <= k_max <= n:
             raise ValueError(f"size range [{k_min}, {k_max}] must satisfy 2 <= k_min <= k_max <= n")
         return k_min, k_max
@@ -103,9 +95,6 @@ def build_incidence(
     Base clusterings are deterministic given (d, size, linkage), so the only
     ensemble randomness lives in the size draws.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if np.any(sizes < 1) or np.any(sizes > d.n):
-        raise ValueError(f"base clustering sizes must lie in [1, {d.n}]")
     tree = agglomerate(d, linkage)
     return IncidenceMatrix.of([cut_with_outlier_deferral(tree, int(k), alpha) for k in sizes])
 

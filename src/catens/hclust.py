@@ -17,18 +17,10 @@ from .core import Clustering, DataError, DissimilarityMatrix, relabel_dense
 
 LINKAGES = ("SL", "AL", "CL")
 
-_ALIASES = {
-    "sl": "SL", "single": "SL",
-    "al": "AL", "average": "AL",
-    "cl": "CL", "complete": "CL",
-}
 
-
-def normalize_linkage(linkage: str) -> str:
-    key = str(linkage).lower()
-    if key not in _ALIASES:
+def check_linkage(linkage: str) -> None:
+    if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of SL, AL, CL")
-    return _ALIASES[key]
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,10 @@ class Merge:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """The full merge history of an agglomeration over ``n`` leaves."""
+    """The full merge history of an agglomeration over ``n`` leaves.  Checks
+    ``n >= 1``, ``n - 1`` merges and a root of size ``n``; that each node is
+    one merge's child and each size sums its children's is :func:`agglomerate`'s
+    guarantee, not replayed here."""
 
     n: int
     merges: tuple[Merge, ...]
@@ -59,16 +54,6 @@ class Dendrogram:
             raise DataError("dendrogram needs at least one leaf")
         if len(self.merges) != self.n - 1:
             raise DataError("a dendrogram over n leaves has exactly n-1 merges")
-        seen: set[int] = set()
-        size = {i: 1 for i in range(self.n)}
-        for t, m in enumerate(self.merges):
-            for child in (m.left, m.right):
-                if child in seen or child not in size:
-                    raise DataError("each node must be referenced exactly once as a child")
-                seen.add(child)
-            size[self.n + t] = size[m.left] + size[m.right]
-            if m.size != size[self.n + t]:
-                raise DataError("merged size must equal the sum of the children's sizes")
         if self.merges and self.merges[-1].size != self.n:
             raise DataError("root size must equal the leaf count")
 
@@ -84,7 +69,7 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     dissimilarity; the inter-cluster values are maintained by Lance-Williams
     updates (min for SL, max for CL, size-weighted mean for AL).
     """
-    link = normalize_linkage(linkage)
+    check_linkage(linkage)
     n = d.n
     if n < 2:
         raise DataError("agglomeration needs at least two rows")
@@ -99,9 +84,9 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
         # smallest leaf and the tie-break is the first i < j in row-major order
         pos = np.argwhere(work == h)
         i, j = pos[pos[:, 0] < pos[:, 1]][0]
-        if link == "SL":
+        if linkage == "SL":
             row = np.minimum(work[i], work[j])
-        elif link == "CL":
+        elif linkage == "CL":
             row = np.maximum(work[i], work[j])
         else:
             row = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])

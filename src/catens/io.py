@@ -136,16 +136,19 @@ def load_fasta_matrix(
 ) -> CategoricalMatrix:
     """Encode pre-aligned FASTA records as a categorical table.
 
-    All records must share one aligned length; every listed gap symbol is
-    folded into the first one, and any other character is a residue.
+    All records must share one aligned length; every listed gap symbol, a
+    single character, is folded into the first one, and any other character
+    is a residue.
     """
+    if any(len(g) != 1 for g in gap_symbols):
+        raise ValueError(f"FASTA gap symbols must be single characters, got {list(gap_symbols)}")
     records = read_fasta(path)
     lengths = {len(seq) for _, seq in records}
     if len(lengths) != 1:
         raise DataError(f"{path}: aligned sequences must share one length, found {sorted(lengths)}")
     gap = next(iter(gap_symbols), None)
-    gaps = set(gap_symbols)
-    rows = [[gap if ch in gaps else ch for ch in seq] for _, seq in records]
+    fold = str.maketrans(dict.fromkeys(gap_symbols, gap))
+    rows = [seq.translate(fold) for _, seq in records]
     ids = [name for name, _ in records]
     return encode(rows, gap_symbol=gap, row_ids=ids)
 

@@ -27,12 +27,6 @@ class KModesState:
     cost: int
     n_iter: int
 
-    def __post_init__(self) -> None:
-        for name in ("modes", "labels"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name)))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
 
 def _assign(codes: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dist, _ = mismatch_counts(codes, modes)

@@ -25,33 +25,25 @@ from .rng import child_seed, substream
 
 @dataclass(frozen=True)
 class SubspaceSet:
-    """A family of column-index subsets over ``source_J`` columns."""
+    """Column-index subsets over ``source_J`` columns.  Checks that each is
+    non-empty and within ``[0, source_J)``; sorted distinct indices (and for
+    WOR a partition) are the generators' guarantee, not re-checked here."""
 
     subsets: tuple[np.ndarray, ...]
-    mode: str
     source_J: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("WOR", "WR"):
-            raise ValueError(f"unknown subspace mode {self.mode!r}")
         if not self.subsets:
             raise DataError("subspace set must contain at least one subset")
         frozen = []
         for sub in self.subsets:
-            arr = np.asarray(sub, dtype=np.intp)
+            arr = np.ascontiguousarray(np.asarray(sub, dtype=np.intp))
             if arr.size == 0:
                 raise DataError("empty subsets are not allowed")
-            if np.unique(arr).size != arr.size:
-                raise DataError("subset indices must be distinct")
             if arr.min() < 0 or arr.max() >= self.source_J:
                 raise DataError("subset indices must lie in [0, source_J)")
-            arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             frozen.append(arr)
-        if self.mode == "WOR":
-            joined = np.concatenate(frozen)
-            if joined.size != self.source_J or np.unique(joined).size != self.source_J:
-                raise DataError("WOR subsets must partition the full column set")
         object.__setattr__(self, "subsets", tuple(frozen))
 
     @property
@@ -88,7 +80,7 @@ def wor_subspaces(J: int, h: int | None = None, seed: int = 0) -> SubspaceSet:
     for length in lengths:
         subsets.append(np.sort(perm[start:start + length]))
         start += length
-    return SubspaceSet(subsets=tuple(subsets), mode="WOR", source_J=J)
+    return SubspaceSet(subsets=tuple(subsets), source_J=J)
 
 
 def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
@@ -107,10 +99,9 @@ def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
     subsets = []
     for r in range(M):
         rng = substream(seed, r)
-        first = np.unique(rng.integers(0, J, size=J))
-        second = np.unique(rng.integers(0, J, size=first.size))
-        subsets.append(second)
-    return SubspaceSet(subsets=tuple(subsets), mode="WR", source_J=J)
+        first = np.count_nonzero(np.bincount(rng.integers(0, J, size=J), minlength=J))
+        subsets.append(np.flatnonzero(np.bincount(rng.integers(0, J, size=first), minlength=J)))
+    return SubspaceSet(subsets=tuple(subsets), source_J=J)
 
 
 def distinct_count_pmf(
@@ -160,11 +151,11 @@ def subspace_ensemble(
     at ``k_final``.  Subspace pipelines use substreams keyed by the
     subset index and can run in any order.
     """
+    if s.source_J != x.J:
+        raise DataError(f"subsets drawn over {s.source_J} columns, data has J={x.J}")
     runs = []
     k_min, k_max = base_cfg.k_range(x.n)
     for r, sub in enumerate(s.subsets):
-        if np.any(np.asarray(sub) >= x.J):
-            raise DataError(f"subset {r} references columns beyond J={x.J}")
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))
         runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0])

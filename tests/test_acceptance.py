@@ -81,14 +81,13 @@ def test_criterion_2_ensemble_dissimilarity_oracle():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         B = int(rng.integers(1, 9))
-        cols, sizes = [], []
+        cols = []
         for _ in range(B):
             k = int(rng.integers(1, n + 1))
             labels = rng.integers(0, k, size=n)
             labels[rng.permutation(n)[:k]] = np.arange(k)
             cols.append(labels)
-            sizes.append(k)
-        w = IncidenceMatrix(entries=np.stack(cols, axis=1), sizes=tuple(sizes))
+        w = IncidenceMatrix(entries=np.stack(cols, axis=1))
         assert np.array_equal(ensemble_dissimilarity(w).values, naive_ensemble_dissimilarity(w.entries))
     elapsed = time.time() - start
     ok = elapsed < 5.0

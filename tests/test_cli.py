@@ -186,6 +186,12 @@ class TestClusterCommand:
         assert main(["cluster", str(fasta), "--method", "HCAL", "--k", "2", *flag]) == 1
         assert f"only CSV input reads {flag[0]}" in capsys.readouterr().err
 
+    def test_multi_character_fasta_gap_symbol_is_usage_error(self, tmp_path, capsys):
+        fasta = tmp_path / "aln.fasta"
+        catio.write_fasta(fasta, [("a", "ANNT"), ("b", "ACGA"), ("c", "TTGA")])
+        assert main(["cluster", str(fasta), "--method", "HCAL", "--k", "2", "--gap-symbol", "NN"]) == 1
+        assert "single characters" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--subspace", "wr"], ["--linkage", "SL"]], ids=lambda flag: flag[0])
     def test_deleted_flags_are_usage_errors(self, tmp_path, flag):
         data = tmp_path / "blocks.csv"
@@ -360,6 +366,22 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--design", "D1", "--seq-j", "5", "--output", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, output, flag",
+        [
+            (["--design", "D1"], "sim.csv", ["--truth-out", "truth.csv"]),
+            (["--noise", "6,4,3"], "sim.csv", ["--truth-out", "truth.csv"]),
+            (["--noise", "6,4,3"], "sim.fasta", ["--truth-out", "truth.csv"]),
+            (["--seq-design", "low-noise", "--seq-j", "200"], "sim.fasta", ["--delimiter", ";"]),
+        ],
+        ids=["truth-out-csv", "truth-out-noise-csv", "truth-out-noise-fasta", "delimiter-fasta"],
+    )
+    def test_flag_the_output_does_not_read_is_usage_error(self, tmp_path, capsys, source, output, flag):
+        flag = [str(tmp_path / v) if v.endswith(".csv") else v for v in flag]
+        assert main(["simulate", *source, "--output", str(tmp_path / output), *flag]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_noise_spec_is_usage_error(self, tmp_path):
         assert main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")]) == 1

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catens import core
 from catens.core import (
+    GAP_CODE,
     CategoricalMatrix,
     Clustering,
     DataError,
@@ -170,6 +172,24 @@ class TestHamming:
             dist = (a != b).mean(axis=1)
             expected = p * (1 - p) / J
             assert abs(dist.var(ddof=1) - expected) <= 0.10 * expected
+
+    @given(st.data(), st.booleans())
+    def test_invariant_under_column_permutation_and_code_relabelling(self, data, gaps):
+        shape = data.draw(st.tuples(st.integers(2, 7), st.integers(1, 8)))
+        n, J = shape
+        codes = data.draw(arrays(np.int32, shape, elements=st.integers(0, 2)))
+        if gaps:
+            mask = data.draw(arrays(np.bool_, shape))
+            mask[:, 0] = False  # one gap-free column keeps every pair comparable
+            codes[mask] = GAP_CODE
+        gap_code = GAP_CODE if gaps else None
+        cols = data.draw(st.permutations(range(J)))
+        relabel = np.array([data.draw(st.permutations(range(3))) for _ in range(J)])
+        moved = np.where(codes == GAP_CODE, GAP_CODE, relabel[np.arange(J), codes])[:, cols]
+        x = CategoricalMatrix(codes, np.full(J, 3), gap_code=gap_code)
+        y = CategoricalMatrix(moved, np.full(J, 3), gap_code=gap_code)
+        for normalized in (False, True):
+            assert np.array_equal(hamming(x, normalized).values, hamming(y, normalized).values)
 
 
 class TestDissimilarityMatrix:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from catens.core import DataError, DissimilarityMatrix, encode
+from catens.core import DissimilarityMatrix, encode
 from catens.ensemble import (
     EnsembleConfig,
     IncidenceMatrix,
@@ -76,37 +79,32 @@ class TestBuildIncidence:
         with pytest.raises(ValueError):
             build_incidence(THREE_POINT, [4], "SL")
 
-    def test_column_labels_validated(self):
-        with pytest.raises(DataError):
-            IncidenceMatrix(entries=np.array([[0], [2]]), sizes=(2,))
-
 
 class TestEnsembleDissimilarity:
     def test_always_together_is_zero(self):
-        w = IncidenceMatrix(entries=np.zeros((4, 3), dtype=int), sizes=(1, 1, 1))
+        w = IncidenceMatrix(entries=np.zeros((4, 3), dtype=int))
         assert np.all(ensemble_dissimilarity(w).values == 0)
 
     def test_always_apart_is_one(self):
-        w = IncidenceMatrix(entries=np.array([[0, 0], [1, 1]]), sizes=(2, 2))
+        w = IncidenceMatrix(entries=np.array([[0, 0], [1, 1]]))
         assert ensemble_dissimilarity(w).values[0, 1] == 1.0
 
     def test_half(self):
-        w = IncidenceMatrix(entries=np.array([[0, 0], [0, 1]]), sizes=(1, 2))
+        w = IncidenceMatrix(entries=np.array([[0, 0], [0, 1]]))
         assert ensemble_dissimilarity(w).values[0, 1] == 0.5
 
     def test_matches_naive_double_loop(self):
         rng = substream(21)
         for _ in range(10):
             n, B = int(rng.integers(2, 9)), int(rng.integers(1, 6))
-            cols, sizes = [], []
+            cols = []
             for _ in range(B):
                 k = int(rng.integers(1, n + 1))
                 labels = rng.integers(0, k, size=n)
                 # force every label to appear
                 labels[rng.permutation(n)[:k]] = np.arange(k)
                 cols.append(labels)
-                sizes.append(k)
-            w = IncidenceMatrix(entries=np.stack(cols, axis=1), sizes=tuple(sizes))
+            w = IncidenceMatrix(entries=np.stack(cols, axis=1))
             got = ensemble_dissimilarity(w).values
             assert np.array_equal(got, naive_ensemble_dissimilarity(w.entries))
 
@@ -114,9 +112,7 @@ class TestEnsembleDissimilarity:
         rng = substream(22)
         n, B = 7, 4
         cols = [np.arange(n) % (b + 2) for b in range(B)]
-        w = IncidenceMatrix(
-            entries=np.stack(cols, axis=1), sizes=tuple(b + 2 for b in range(B))
-        )
+        w = IncidenceMatrix(entries=np.stack(cols, axis=1))
         d = ensemble_dissimilarity(w)
         assert d.kind == "ensemble"
         assert np.all(np.isin(np.round(d.values * B).astype(int), np.arange(B + 1)))
@@ -127,13 +123,30 @@ class TestEnsembleDissimilarity:
         rng = substream(23)
         entries = np.stack([rng.integers(0, 3, size=8) for _ in range(4)], axis=1)
         entries[:3, :] = np.arange(3)[:, None]  # make labels 0..2 all appear
-        w = IncidenceMatrix(entries=entries, sizes=(3, 3, 3, 3))
+        w = IncidenceMatrix(entries=entries)
         base = ensemble_dissimilarity(w).values
         permuted = entries.copy()
         perm = np.array([2, 0, 1])
         permuted[:, 1] = perm[permuted[:, 1]]
-        w2 = IncidenceMatrix(entries=permuted, sizes=(3, 3, 3, 3))
+        w2 = IncidenceMatrix(entries=permuted)
         assert np.array_equal(ensemble_dissimilarity(w2).values, base)
+
+    @given(st.data())
+    def test_any_integer_columns_on_grid_and_relabelling_invariant(self, data):
+        # labels need not be dense: any integers, compared within a column only
+        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 6)))
+        entries = data.draw(arrays(np.int64, shape, elements=st.integers(-1000, 1000)))
+        B = shape[1]
+        d = ensemble_dissimilarity(IncidenceMatrix(entries=entries)).values
+        assert np.array_equal(d, naive_ensemble_dissimilarity(entries))
+        assert np.all(np.isin(d, np.arange(B + 1) / B))
+        relabelled = entries.copy()
+        for b in range(B):
+            values, inverse = np.unique(entries[:, b], return_inverse=True)
+            new = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=values.size,
+                                     max_size=values.size, unique=True))
+            relabelled[:, b] = np.asarray(new)[inverse]
+        assert np.array_equal(ensemble_dissimilarity(IncidenceMatrix(entries=relabelled)).values, d)
 
     def test_concentration_bound(self):
         # columns as IID Bernoulli separation indicators of fixed mean p:

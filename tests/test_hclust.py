@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catens.core import DataError, DissimilarityMatrix
 from catens.hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_deferral, to_newick
@@ -188,12 +191,22 @@ class TestOutlierDeferral:
         with pytest.raises(ValueError):
             cut_with_outlier_deferral(t, 2, -0.1)
 
+    @given(st.data(), st.sampled_from(["SL", "AL", "CL"]), st.floats(0.0, 0.49))
+    def test_every_cluster_reaches_alpha_n(self, data, linkage, alpha):
+        n = data.draw(st.integers(2, 16))
+        upper = np.triu(data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 6))), 1)
+        tree = agglomerate(matrix(upper + upper.T, kind="raw-count"), linkage)
+        k = data.draw(st.integers(1, n))
+        try:
+            res = cut_with_outlier_deferral(tree, k, alpha)
+        except DataError:
+            assert np.bincount(cut(tree, k).labels).max() < alpha * n
+            return
+        assert res.K <= k
+        assert np.bincount(res.labels).min() >= alpha * n
+
 
 class TestDendrogramValidation:
-    def test_child_referenced_twice_rejected(self):
-        with pytest.raises(DataError):
-            Dendrogram(n=3, merges=(Merge(0, 1, 0.5, 2), Merge(1, 2, 0.7, 3)))
-
     def test_wrong_size_rejected(self):
         with pytest.raises(DataError):
             Dendrogram(n=3, merges=(Merge(0, 1, 0.5, 2), Merge(3, 2, 0.7, 2)))
@@ -205,6 +218,11 @@ class TestDendrogramValidation:
     def test_unknown_linkage_rejected(self):
         with pytest.raises(ValueError):
             agglomerate(THREE_POINT, "ward")
+
+    @pytest.mark.parametrize("linkage", ["single", "average", "complete", "al"])
+    def test_only_table_linkage_names_accepted(self, linkage):
+        with pytest.raises(ValueError):
+            agglomerate(THREE_POINT, linkage)
 
 
 class TestNewick:

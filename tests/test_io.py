@@ -87,6 +87,12 @@ class TestFasta:
         assert x.codes[0, 3] == x.gap_code and x.codes[1, 3] == x.gap_code
         assert catio.matrix_to_fasta_records(x) == [("a", "A-GN"), ("b", "ACGN"), ("c", "ACGT")]
 
+    def test_multi_character_gap_symbol_rejected(self, tmp_path):
+        path = tmp_path / "aln.fasta"
+        catio.write_fasta(path, [("a", "ANNG"), ("b", "ACGT")])
+        with pytest.raises(ValueError, match="single characters"):
+            catio.load_fasta_matrix(path, gap_symbols=("NN",))
+
     def test_dot_gap_normalized(self, tmp_path):
         path = tmp_path / "aln.fasta"
         catio.write_fasta(path, [("a", "A.G"), ("b", "ATG")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catens.core import DataError
 from catens.ensemble import EnsembleConfig, ensemble_cluster
@@ -47,6 +49,14 @@ class TestWorSubspaces:
             assert all(len(sub) >= 1 for sub in s.subsets)
 
 
+    @given(st.data(), st.integers(1, 300), st.integers(0, 2**32))
+    def test_partition_into_sorted_blocks(self, data, J, seed):
+        h = data.draw(st.sampled_from([None, *(d for d in range(1, J + 1) if J % d == 0)]))
+        s = wor_subspaces(J, h=h, seed=seed)
+        assert np.array_equal(np.sort(np.concatenate(s.subsets)), np.arange(J))
+        assert all(np.all(np.diff(sub) > 0) for sub in s.subsets)
+
+
 class TestWrSubspaces:
     def test_single_column(self):
         s = wr_subspaces(1, M=5, seed=3)
@@ -64,6 +74,17 @@ class TestWrSubspaces:
         fraction = np.mean([len(sub) / 4000 for sub in s.subsets])
         assert abs(fraction - 0.47) < 0.02
 
+    @given(st.integers(1, 2000), st.integers(1, 4), st.integers(0, 2**32))
+    def test_subsets_sorted_distinct_in_range(self, J, M, seed):
+        s = wr_subspaces(J, M=M, seed=seed)
+        assert s.R == M and s.source_J == J
+        for r, sub in enumerate(s.subsets):
+            assert np.all(np.diff(sub) > 0) and sub[0] >= 0 and sub[-1] < J
+            # the same double bootstrap, deduplicated by sorting
+            rng = substream(seed, r)
+            first = np.unique(rng.integers(0, J, size=J))
+            assert np.array_equal(sub, np.unique(rng.integers(0, J, size=first.size)))
+
     def test_single_level_keeps_about_sixty_three_percent(self):
         rng = substream(32)
         fractions = [len(np.unique(rng.integers(0, 4000, 4000))) / 4000 for _ in range(60)]
@@ -71,21 +92,13 @@ class TestWrSubspaces:
 
 
 class TestSubspaceSetValidation:
-    def test_wor_must_partition(self):
-        with pytest.raises(DataError):
-            SubspaceSet(subsets=(np.array([0, 1]),), mode="WOR", source_J=3)
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DataError):
-            SubspaceSet(subsets=(np.array([0, 0]),), mode="WR", source_J=2)
-
     def test_empty_subset_rejected(self):
         with pytest.raises(DataError):
-            SubspaceSet(subsets=(np.array([], dtype=int),), mode="WR", source_J=2)
+            SubspaceSet(subsets=(np.array([], dtype=int),), source_J=2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            SubspaceSet(subsets=(np.array([5]),), mode="WR", source_J=3)
+            SubspaceSet(subsets=(np.array([5]),), source_J=3)
 
 
 class TestDistinctCountPmf:
@@ -120,7 +133,7 @@ class TestDistinctCountPmf:
 class TestSubspaceEnsemble:
     def test_single_full_subset_reduces_to_plain_ensemble(self):
         x = two_block_table(sizes=(4, 4), J=5)
-        s = SubspaceSet(subsets=(np.arange(5),), mode="WOR", source_J=5)
+        s = SubspaceSet(subsets=(np.arange(5),), source_J=5)
         cfg = EnsembleConfig(B=6, k_min=2, k_max=2, seed=8)
         labels, _ = subspace_ensemble(x, s, cfg, 2)
         base, _ = ensemble_cluster(x, cfg, 2)
@@ -142,14 +155,14 @@ class TestSubspaceEnsemble:
 
     def test_subset_index_out_of_range_rejected(self):
         x = two_block_table(sizes=(3, 3), J=4)
-        s = SubspaceSet(subsets=(np.array([7]),), mode="WR", source_J=8)
+        s = SubspaceSet(subsets=(np.array([7]),), source_J=8)
         with pytest.raises(DataError):
             subspace_ensemble(x, s, EnsembleConfig(B=2, seed=1), 2)
 
     def test_constant_subset_columns_permitted(self):
         # a subset over which two rows coincide is fine (distance zero)
         x = two_block_table(sizes=(4, 4), J=6)
-        s = SubspaceSet(subsets=(np.array([0, 1]), np.array([2, 3, 4, 5])), mode="WOR", source_J=6)
+        s = SubspaceSet(subsets=(np.array([0, 1]), np.array([2, 3, 4, 5])), source_J=6)
         labels, _ = subspace_ensemble(x, s, EnsembleConfig(B=4, seed=2), 2)
         assert labels.n == 8
 
