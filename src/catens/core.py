@@ -58,9 +58,10 @@ class CategoricalMatrix:
             raise DataError("one cardinality per column required")
         if np.any(cards < 1):
             raise DataError("column cardinalities must be >= 1")
-        gap = codes == self.gap_code if self.gap_code is not None else np.zeros(codes.shape, bool)
         valid = (codes >= 0) & (codes < cards[None, :])
-        if not np.all(valid | gap):
+        if self.gap_code is not None:
+            valid |= codes == self.gap_code
+        if not np.all(valid):
             raise DataError("non-gap codes must lie in [0, cardinality) for every column")
         if self.row_ids is not None and len(self.row_ids) != codes.shape[0]:
             raise DataError("one row id per row required")
@@ -219,9 +220,9 @@ def mismatch_counts(
     compared = np.empty((n, m), dtype=np.int64)
     for s in range(0, n, block):
         comp = valid_a[s:s + block, None, :] & valid_b[None, :, :]
-        diff = comp & (a[s:s + block, None, :] != b[None, :, :])
-        counts[s:s + block] = diff.sum(axis=2, dtype=np.int64)
         compared[s:s + block] = comp.sum(axis=2, dtype=np.int64)
+        comp &= a[s:s + block, None, :] != b[None, :, :]
+        counts[s:s + block] = comp.sum(axis=2, dtype=np.int64)
     return counts, compared
 
 

@@ -79,11 +79,11 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     node = np.arange(n, dtype=np.int64)   # dendrogram node id per slot
     merges: list[Merge] = []
     for t in range(n - 1):
-        h = work.min()
-        # a merge keeps the lower slot, so each slot's index is its cluster's
-        # smallest leaf and the tie-break is the first i < j in row-major order
-        pos = np.argwhere(work == h)
-        i, j = pos[pos[:, 0] < pos[:, 1]][0]
+        # a merge keeps the lower slot (its cluster's smallest leaf) and writes
+        # one vector to row and column i, so ``work`` stays exactly symmetric and
+        # argmin's first minimum is the tie-break: the first i < j, row-major
+        i, j = divmod(int(work.argmin()), n)
+        h = work[i, j]
         if linkage == "SL":
             row = np.minimum(work[i], work[j])
         elif linkage == "CL":

@@ -155,7 +155,10 @@ def load_fasta_matrix(
 
 def matrix_to_fasta_records(x: CategoricalMatrix) -> list[tuple[str, str]]:
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
-    return [(ids[i], "".join(row)) for i, row in enumerate(x.decode())]
+    rows = x.decode()
+    if (bad := next((s for row in rows for s in row if len(s) != 1), None)) is not None:
+        raise ValueError(f"FASTA needs one character per position, got the symbol {bad!r}")
+    return [(ids[i], "".join(row)) for i, row in enumerate(rows)]
 
 
 def write_labels_csv(target: str | Path | TextIO, ids: Sequence[str], labels: Sequence[int]) -> None:

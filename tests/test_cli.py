@@ -383,6 +383,15 @@ class TestSimulateCommand:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "source", [["--design", "D3", "--seed", "5"], ["--noise", "5,4,12"]], ids=["design", "noise"]
+    )
+    def test_fasta_of_multi_character_codes_is_usage_error(self, tmp_path, capsys, source):
+        # codes >= 10 decode to two characters, which would break the alignment
+        assert main(["simulate", *source, "--output", str(tmp_path / "sim.fasta")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_noise_spec_is_usage_error(self, tmp_path):
         assert main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")]) == 1
 

@@ -23,6 +23,15 @@ def random_matrix(rng, n, scale=1.0):
     return matrix(m / max(scale, m.max() + 1e-9))
 
 
+@st.composite
+def tied_matrices(draw):
+    """Raw-count matrices with entries in {0..3} and n in 2..10: many exact
+    ties, and zero off-diagonals (duplicate rows)."""
+    n = draw(st.integers(2, 10))
+    upper = np.triu(draw(arrays(np.int64, (n, n), elements=st.integers(0, 3))), 1)
+    return matrix(upper + upper.T, kind="raw-count")
+
+
 THREE_POINT = matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]], kind="raw-count")
 
 
@@ -122,20 +131,22 @@ class TestTieBreak:
         t = agglomerate(d, "SL")
         assert [(m.left, m.right) for m in t.merges] == [(0, 1), (4, 2), (5, 3)]
 
-    def test_tied_integer_distances_match_oracle(self):
-        rng = substream(12)
-        for linkage in ("SL", "CL"):
-            for _ in range(15):
-                n = int(rng.integers(3, 10))
-                m = rng.integers(1, 4, size=(n, n)).astype(float)
-                m = np.triu(m, 1)
-                m = m + m.T
-                d = matrix(m, kind="raw-count")
-                t = agglomerate(d, linkage)
-                merges, cuts = brute_force_agglomerate(d.values, linkage)
-                assert t.heights.tolist() == [h for h, _ in merges]
-                for k in range(1, n + 1):
-                    assert cut(t, k).labels.tolist() == cuts[k].tolist()
+    @given(tied_matrices(), st.sampled_from(["SL", "CL"]))
+    def test_tied_integer_distances_match_oracle(self, d, linkage):
+        t = agglomerate(d, linkage)
+        merges, cuts = brute_force_agglomerate(d.values, linkage)
+        assert t.heights.tolist() == [h for h, _ in merges]
+        for k in range(1, d.n + 1):
+            assert cut(t, k).labels.tolist() == cuts[k].tolist()
+
+    @given(tied_matrices(), st.sampled_from(["SL", "AL", "CL"]))
+    def test_tied_heights_monotone_and_cuts_nested(self, d, linkage):
+        t = agglomerate(d, linkage)
+        assert np.all(np.diff(t.heights) >= -1e-12)
+        for k in range(1, d.n):
+            coarse, fine = cut(t, k).labels, cut(t, k + 1).labels
+            for g in np.unique(fine):
+                assert len(np.unique(coarse[fine == g])) == 1
 
 
 class TestOutlierDeferral:
