@@ -19,8 +19,8 @@ import numpy as np
 
 GAP_CODE = -1
 
-# cap on the elements materialized per broadcasting block in mismatch_counts()
-_BLOCK_ELEMS = 2**26
+# cap on the uint64 words in one block temporary of plane_mismatches() (8 MB)
+_BLOCK_ELEMS = 2**20
 
 
 class DataError(ValueError):
@@ -98,19 +98,13 @@ class CategoricalMatrix:
     def decode(self) -> list[list[str]]:
         """Original string table; inverse of :func:`encode` when labels exist."""
         gap_sym = self.gap_symbol if self.gap_symbol is not None else "-"
-        out: list[list[str]] = []
-        for i in range(self.n):
-            row: list[str] = []
-            for j in range(self.J):
-                c = int(self.codes[i, j])
-                if self.gap_code is not None and c == self.gap_code:
-                    row.append(gap_sym)
-                elif self.labels is not None:
-                    row.append(self.labels[j][c])
-                else:
-                    row.append(str(c))
-            out.append(row)
-        return out
+
+        def symbol(j: int, c: int) -> str:
+            if self.gap_code is not None and c == self.gap_code:
+                return gap_sym
+            return self.labels[j][c] if self.labels is not None else str(c)
+
+        return [[symbol(j, int(c)) for j, c in enumerate(row)] for row in self.codes]
 
 
 @dataclass(frozen=True)
@@ -195,6 +189,39 @@ def encode(
     )
 
 
+def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:
+    """``planes x n x words`` uint64 array: plane ``p`` holds bit ``p`` of
+    ``x - lo``, 64 columns per word, with the padding bits zero.  The offset
+    wraps around in uint64, so every int64 range of up to 64 bits is exact."""
+    off = (np.asarray(x, dtype=np.int64) - np.int64(lo)).view(np.uint64)
+    off = off.astype(np.min_scalar_type((1 << planes) - 1))
+    bits = np.zeros((planes, off.shape[0], -(-off.shape[1] // 64) * 64), dtype=off.dtype)
+    bits[..., : off.shape[1]] = (off >> np.arange(planes, dtype=off.dtype)[:, None, None]) & 1
+    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+
+def plane_mismatches(
+    pa: np.ndarray, pb: np.ndarray, va: np.ndarray | None = None, vb: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(counts, compared)`` between the rows of two :func:`bit_planes`
+    packings.  With packed validity masks ``va``/``vb`` only columns valid
+    in both rows count; without them ``compared`` is ``None``.  Rows of
+    ``pa`` go in blocks whose temporary holds at most ``_BLOCK_ELEMS`` words."""
+    (planes, n, words), m = pa.shape, pb.shape[1]
+    counts = np.empty((n, m), dtype=np.int64)
+    compared = None if va is None else np.empty_like(counts)
+    block = max(1, _BLOCK_ELEMS // (planes * m * words))
+    for s in range(0, n, block):
+        rows = slice(s, s + block)
+        diff = np.bitwise_or.reduce(pa[:, rows, None] ^ pb[:, None], axis=0)
+        if va is not None:
+            both = va[rows, None] & vb[None]
+            compared[rows] = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+            diff &= both
+        counts[rows] = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    return counts, compared
+
+
 def mismatch_counts(
     a: np.ndarray, b: np.ndarray, gap: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | int]:
@@ -204,26 +231,17 @@ def mismatch_counts(
     columns where ``a[i]`` and ``b[k]`` differ.  With ``gap`` set, columns
     where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
     the columns actually compared; without it ``compared`` is the column
-    count.  Rows of ``a`` are processed in blocks that keep the broadcast
-    temporaries under ``_BLOCK_ELEMS`` elements; the sums are integers, so
-    the result does not depend on the block size.
+    count.  Both tables are bit-sliced over their joint value range and
+    compared 64 columns per word with popcount, in exact integer sums.
     """
-    (n, J), m = a.shape, b.shape[0]
-    counts = np.empty((n, m), dtype=np.int64)
-    block = max(1, _BLOCK_ELEMS // (m * J))
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    planes = max(1, (int(hi) - int(lo)).bit_length())
+    pa = bit_planes(a, lo, planes)
+    pb = pa if b is a else bit_planes(b, lo, planes)
     if gap is None:
-        for s in range(0, n, block):
-            diff = a[s:s + block, None, :] != b[None, :, :]
-            counts[s:s + block] = diff.sum(axis=2, dtype=np.int64)
-        return counts, J
-    valid_a, valid_b = a != gap, b != gap
-    compared = np.empty((n, m), dtype=np.int64)
-    for s in range(0, n, block):
-        comp = valid_a[s:s + block, None, :] & valid_b[None, :, :]
-        compared[s:s + block] = comp.sum(axis=2, dtype=np.int64)
-        comp &= a[s:s + block, None, :] != b[None, :, :]
-        counts[s:s + block] = comp.sum(axis=2, dtype=np.int64)
-    return counts, compared
+        return plane_mismatches(pa, pb)[0], a.shape[1]
+    va = bit_planes(a != gap, 0, 1)[0]
+    return plane_mismatches(pa, pb, va, va if b is a else bit_planes(b != gap, 0, 1)[0])
 
 
 def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatrix:
@@ -244,16 +262,11 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
         if np.any(compared[off] == 0):
             i, k = np.argwhere((compared == 0) & off)[0]
             raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
-    if normalized:
-        # with every pair comparable no row is all gaps, so the diagonal of
-        # ``compared`` (a row's own non-gap count) is non-zero too
-        values = counts / compared
-        kind = "normalized"
-    else:
-        values = counts.astype(np.float64)
-        kind = "raw-count"
+    # with every pair comparable no row is all gaps, so the diagonal of
+    # ``compared`` (a row's own non-gap count) is non-zero too
+    values = counts / compared if normalized else counts.astype(np.float64)
     np.fill_diagonal(values, 0.0)
-    return DissimilarityMatrix(values=values, kind=kind)
+    return DissimilarityMatrix(values=values, kind="normalized" if normalized else "raw-count")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, mismatch_counts, relabel_dense
+from .core import CategoricalMatrix, Clustering, DataError, bit_planes, plane_mismatches, relabel_dense
 from .ensemble import EnsembleConfig, IncidenceMatrix, draw_sizes, recluster
 from .rng import substream
 
@@ -28,10 +28,11 @@ class KModesState:
     n_iter: int
 
 
-def _assign(codes: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dist, _ = mismatch_counts(codes, modes)
+def _assign(packed: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ``packed`` is bit_planes(codes, 0, planes); only the k modes are packed here
+    dist, _ = plane_mismatches(packed, bit_planes(modes, 0, packed.shape[0]))
     labels = dist.argmin(axis=1)
-    return labels, dist[np.arange(codes.shape[0]), labels]
+    return labels, dist[np.arange(packed.shape[1]), labels]
 
 
 def _update_modes(codes: np.ndarray, labels: np.ndarray, k: int, span: int) -> np.ndarray:
@@ -66,20 +67,21 @@ def kmodes(
     codes = x.codes
     n = x.n
     span = int(x.cardinalities.max())
+    packed = bit_planes(codes, 0, max(1, (span - 1).bit_length()))
     modes = codes[rng.choice(n, size=k, replace=False)].copy()
-    labels, dist = _assign(codes, modes)
+    labels, dist = _assign(packed, modes)
     _repair_empty(codes, modes, labels, dist, k)
     it = 0
     for it in range(1, max_iter + 1):
         modes = _update_modes(codes, labels, k, span)
-        new_labels, dist = _assign(codes, modes)
+        new_labels, dist = _assign(packed, modes)
         _repair_empty(codes, modes, new_labels, dist, k)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    cost = int((codes != modes[labels]).sum())
-    return KModesState(modes=modes, labels=labels, cost=cost, n_iter=it)
+    # dist[i] is row i's mismatch count to its assigned mode (0 for a reseeded row)
+    return KModesState(modes=modes, labels=labels, cost=int(dist.sum()), n_iter=it)
 
 
 def _repair_empty(

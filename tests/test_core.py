@@ -100,6 +100,31 @@ class TestMismatchCounts:
             self.check(a, b, gap=-1)
             self.check(a, a, gap=-1)
 
+    @given(
+        st.data(),
+        st.sampled_from([1, 63, 64, 65, 128, 129]),
+        st.sampled_from(["one-plane", "ten-planes", "31-planes", "int64-extremes"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_bit_sliced_counts_match_oracle(self, data, J, values, gaps, same):
+        # the column counts straddle 64-bit word boundaries; the value ranges
+        # need one bit plane, more than eight and (for the extremes) all 64
+        n, m = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+        lo = data.draw(st.integers(-300, 300))
+        elements = {
+            "one-plane": st.integers(lo, lo + 1),
+            "ten-planes": st.integers(-300, 300),
+            "31-planes": st.integers(-10**9, 10**9),
+            "int64-extremes": st.integers(-3, 3),
+        }[values]
+        a = data.draw(arrays(np.int64, (n, J), elements=elements))
+        b = a if same else data.draw(arrays(np.int64, (m, J), elements=elements))
+        if values == "int64-extremes":
+            col = data.draw(st.integers(0, J - 1))
+            a[0, col], b[-1, col] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        self.check(a, b, gap=data.draw(elements) if gaps else None)
+
 
 class TestHamming:
     def test_identical_rows(self):
@@ -146,19 +171,34 @@ class TestHamming:
             onehot_mismatch = (dense[:, None, :] != dense[None, :, :]).sum(axis=2)
             assert np.array_equal(onehot_mismatch, 2 * hamming(x).values)
 
-    def test_metric_properties(self):
-        rng = substream(13)
-        for _ in range(20):
-            n, j = int(rng.integers(3, 10)), int(rng.integers(1, 8))
-            cards = rng.integers(2, 5, size=j)
-            codes = np.stack([rng.integers(0, c, size=n) for c in cards], axis=1)
-            d = hamming(CategoricalMatrix(codes, cards)).values
+    @given(st.data(), st.booleans())
+    def test_metric_properties(self, data, gaps):
+        """Raw and normalized Hamming is symmetric with a zero diagonal and
+        equivariant under row permutation, with and without gaps, and
+        satisfies the triangle inequality on gap-free tables.  With gaps the
+        triangle inequality fails: a gap in row ``b`` hides a mismatch
+        between rows ``a`` and ``c`` (``x``, ``-``, ``y`` give d(a, c) = 1
+        but d(a, b) + d(b, c) = 0), so it is checked only without them."""
+        n, J = data.draw(st.tuples(st.integers(3, 9), st.integers(1, 8)))
+        codes = data.draw(arrays(np.int32, (n, J), elements=st.integers(0, 3)))
+        if gaps:
+            mask = data.draw(arrays(np.bool_, (n, J)))
+            mask[:, 0] = False  # one gap-free column keeps every pair comparable
+            codes[mask] = GAP_CODE
+        perm = np.array(data.draw(st.permutations(range(n))))
+        gap_code = GAP_CODE if gaps else None
+        x = CategoricalMatrix(codes, np.full(J, 4), gap_code=gap_code)
+        moved = CategoricalMatrix(codes[perm], np.full(J, 4), gap_code=gap_code)
+        for normalized in (False, True):
+            d = hamming(x, normalized).values
+            assert np.array_equal(hamming(moved, normalized).values, d[perm][:, perm])
             assert np.array_equal(d, d.T)
             assert np.all(np.diag(d) == 0)
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        assert d[a, c] <= d[a, b] + d[b, c]
+            if not gaps:
+                # d[a, c] <= d[a, b] + d[b, c] for every triple; raw counts
+                # exactly, normalized ones up to the rounding of the sum
+                slack = 1e-12 if normalized else 0.0
+                assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + slack)
 
     def test_variance_law_on_uniform_noise(self):
         # IID uniform over s=4 symbols: Var of the normalized distance over
