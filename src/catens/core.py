@@ -13,6 +13,7 @@ holds a gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,8 @@ GAP_CODE = -1
 
 # cap on the uint64 words in one block temporary of plane_mismatches() (8 MB)
 _BLOCK_ELEMS = 2**20
+# cap on the int32 entries of encode()'s working table (16 MB)
+_RANK_CELLS = 2**22
 
 
 class DataError(ValueError):
@@ -155,6 +158,10 @@ def encode(
     symbol (when given) maps to the reserved gap code and is excluded from
     the column alphabet.  The code-to-string maps are retained so the table
     round-trips through :meth:`CategoricalMatrix.decode`.
+
+    Cost: one dict lookup per cell gives it the id of its value among the
+    table's ``S`` distinct values; numpy ranks the ids with an ``(S + 1) x w``
+    int32 table, one pass over the rows per ``w = max(1, _RANK_CELLS // (S + 1))`` columns.
     """
     rows = list(raw_table)
     if not rows or not rows[0]:
@@ -162,31 +169,34 @@ def encode(
     n, J = len(rows), len(rows[0])
     if any(len(r) != J for r in rows):
         raise DataError("ragged rows: all rows must have the same length")
-    codes = np.empty((n, J), dtype=np.int32)
-    cards = np.empty(J, dtype=np.int64)
+    symbols = list(set().union(*map(set, rows)))
+    index = {s: i for i, s in enumerate(symbols)}
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32, n * J).reshape(n, J)
+    # rank[s, j]: code of symbol s in column j, -2 until s first appears there;
+    # the gap's row (a spare last row when there is no gap) holds GAP_CODE
+    gap = len(symbols) if gap_symbol is None else index.get(gap_symbol, len(symbols))
+    cards = np.zeros(J, dtype=np.int64)
     labels: list[tuple[str, ...]] = []
-    for j in range(J):
-        seen: dict[str, int] = {}
-        for i in range(n):
-            v = rows[i][j]
-            if gap_symbol is not None and v == gap_symbol:
-                codes[i, j] = GAP_CODE
-                continue
-            if v not in seen:
-                seen[v] = len(seen)
-            codes[i, j] = seen[v]
-        if not seen:
-            raise DataError(f"column {j} contains only gaps")
-        cards[j] = len(seen)
-        labels.append(tuple(seen))
-    return CategoricalMatrix(
-        codes=codes,
-        cardinalities=cards,
-        gap_code=GAP_CODE if gap_symbol is not None else None,
-        labels=tuple(labels),
-        gap_symbol=gap_symbol,
-        row_ids=tuple(row_ids) if row_ids is not None else None,
-    )
+    width = max(1, _RANK_CELLS // (len(symbols) + 1))
+    for a in range(0, J, width):
+        cols = np.arange(min(width, J - a))
+        rank = np.full((len(symbols) + 1, cols.size), -2, dtype=np.int32)
+        rank[gap] = GAP_CODE
+        for row in codes[:, a:a + width]:  # views: each row is recoded in place
+            r = rank[row, cols]
+            new = np.flatnonzero(r == -2)
+            r[new] = rank[row[new], new] = cards[new + a]
+            cards[new + a] += 1
+            row[:] = r
+        # each column's symbols in code order
+        s, c = np.nonzero(rank >= 0)
+        seq = map(symbols.__getitem__, s[np.lexsort((rank[s, c], c))].tolist())
+        labels += [tuple(islice(seq, k)) for k in cards[a:a + cols.size].tolist()]
+    if not cards.all():
+        raise DataError(f"column {int(np.argmin(cards))} contains only gaps")
+    gap_code = None if gap_symbol is None else GAP_CODE
+    return CategoricalMatrix(codes=codes, cardinalities=cards, gap_code=gap_code, labels=tuple(labels),
+                             gap_symbol=gap_symbol, row_ids=None if row_ids is None else tuple(row_ids))
 
 
 def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:

@@ -4,7 +4,8 @@ K-modes alternates nearest-mode assignment under the Hamming distance with
 componentwise recomputation of each mode as the most frequent code among
 members.  Ties are deterministic: assignment prefers the lowest cluster
 index, mode updates prefer the smallest code, and empty clusters are
-reseeded from the point farthest from its current mode.
+reseeded from the point farthest from its current mode among points
+whose cluster keeps another member.
 """
 
 from __future__ import annotations
@@ -85,15 +86,15 @@ def kmodes(
 
 
 def _repair_empty(
-    codes: np.ndarray,
-    modes: np.ndarray,
-    labels: np.ndarray,
-    dist: np.ndarray,
-    k: int,
+    codes: np.ndarray, modes: np.ndarray, labels: np.ndarray, dist: np.ndarray, k: int
 ) -> None:
-    present = np.bincount(labels, minlength=k) > 0
-    for c in np.nonzero(~present)[0]:
-        far = int(np.argmax(dist))
+    # only a row whose cluster keeps another member moves; while a cluster is
+    # empty the other k - 1 hold all n >= k rows, so one of them holds two
+    sizes = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(sizes == 0):
+        far = int(np.argmax(np.where(sizes[labels] > 1, dist, -1)))
+        sizes[labels[far]] -= 1
+        sizes[c] += 1
         labels[far] = c
         modes[c] = codes[far]
         dist[far] = 0

@@ -2,9 +2,10 @@
 
 These deliberately avoid the implementation's shortcuts: agglomeration
 recomputes every inter-cluster linkage from the raw matrix at every step
-(no Lance-Williams updates), the ensemble dissimilarity and the mismatch
-counts are plain loops, the matching rate enumerates label injections, and
-the bootstrap distinct-count law enumerates the whole sample space.
+(no Lance-Williams updates), the encoding of a string table, the ensemble
+dissimilarity and the mismatch counts are plain loops, the matching rate
+enumerates label injections, and the bootstrap distinct-count law
+enumerates the whole sample space.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 from math import comb, factorial
 
 import numpy as np
+
+from catens.core import GAP_CODE, CategoricalMatrix, DataError
 
 
 def brute_force_agglomerate(values: np.ndarray, linkage: str):
@@ -129,3 +132,40 @@ def first_appearance_labels(labels) -> list[int]:
     """Renumber labels 0, 1, ... in the order each value first appears."""
     seen: dict = {}
     return [seen.setdefault(v, len(seen)) for v in labels]
+
+
+def naive_encode(raw_table, gap_symbol=None, row_ids=None) -> CategoricalMatrix:
+    """Per-cell loop with the contract of ``catens.core.encode``: codes in
+    first-appearance order down each column, the gap symbol mapped to
+    ``GAP_CODE`` and left out of the column alphabet."""
+    rows = list(raw_table)
+    if not rows or not rows[0]:
+        raise DataError("empty table")
+    n, J = len(rows), len(rows[0])
+    if any(len(r) != J for r in rows):
+        raise DataError("ragged rows: all rows must have the same length")
+    codes = np.empty((n, J), dtype=np.int32)
+    cards = np.empty(J, dtype=np.int64)
+    labels: list[tuple[str, ...]] = []
+    for j in range(J):
+        seen: dict[str, int] = {}
+        for i in range(n):
+            v = rows[i][j]
+            if gap_symbol is not None and v == gap_symbol:
+                codes[i, j] = GAP_CODE
+                continue
+            if v not in seen:
+                seen[v] = len(seen)
+            codes[i, j] = seen[v]
+        if not seen:
+            raise DataError(f"column {j} contains only gaps")
+        cards[j] = len(seen)
+        labels.append(tuple(seen))
+    return CategoricalMatrix(
+        codes=codes,
+        cardinalities=cards,
+        gap_code=GAP_CODE if gap_symbol is not None else None,
+        labels=tuple(labels),
+        gap_symbol=gap_symbol,
+        row_ids=tuple(row_ids) if row_ids is not None else None,
+    )

@@ -18,7 +18,7 @@ from catens.core import (
 )
 from catens.rng import substream
 
-from .reference import first_appearance_labels, naive_mismatch_counts
+from .reference import first_appearance_labels, naive_encode, naive_mismatch_counts
 
 
 class TestEncode:
@@ -67,6 +67,51 @@ class TestEncode:
     def test_row_ids_retained(self):
         x = encode([["a"], ["b"]], row_ids=["r1", "r2"])
         assert x.row_ids == ("r1", "r2")
+
+    @given(
+        st.data(),
+        st.sampled_from(["none", "present", "absent", "gap-column"]),
+        st.sampled_from([1, 7, core._RANK_CELLS]),
+        st.booleans(),
+    )
+    def test_matches_per_cell_oracle(self, data, gap, cells, ragged):
+        # "a" and "a\0" must stay apart (a fixed-width numpy string array
+        # drops trailing NULs), as must "" and multi-character or non-ASCII
+        # values; a small cap on the working table forces column blocks
+        pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "-"]
+        n, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        table = [data.draw(st.lists(st.sampled_from(pool), min_size=J, max_size=J)) for _ in range(n)]
+        symbol = None if gap == "none" else "?" if gap == "absent" else data.draw(st.sampled_from(pool))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, J - 1))
+        if gap == "present":
+            table[i][j] = symbol
+        if gap == "gap-column":
+            for row in table:
+                row[j] = symbol
+        if ragged:
+            del table[i][j]
+        if data.draw(st.booleans()) and all(len(v) == 1 for row in table for v in row):
+            table = ["".join(row) for row in table]  # FASTA rows are strings
+        ids = data.draw(st.none() | st.just([f"r{k}" for k in range(n)]))
+
+        def run(fn):
+            try:
+                return fn(table, gap_symbol=symbol, row_ids=ids)
+            except DataError as err:
+                return err
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_RANK_CELLS", cells)
+            got = run(encode)
+        want = run(naive_encode)
+        if isinstance(want, DataError):
+            assert type(got) is DataError and str(got) == str(want)
+            return
+        assert got.codes.dtype == want.codes.dtype and got.codes.tolist() == want.codes.tolist()
+        assert got.cardinalities.dtype == want.cardinalities.dtype
+        assert got.cardinalities.tolist() == want.cardinalities.tolist()
+        assert got.labels == want.labels
+        assert (got.gap_code, got.gap_symbol, got.row_ids) == (want.gap_code, want.gap_symbol, want.row_ids)
 
 
 class TestMismatchCounts:

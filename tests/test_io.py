@@ -98,6 +98,17 @@ class TestFasta:
         catio.write_fasta(path, [("a", "A.G"), ("b", "ATG")])
         x = catio.load_fasta_matrix(path)
         assert x.codes[0, 1] == x.gap_code
+        # a two-byte UTF-8 residue and both default gap symbols
+        records = [("a", "A.G"), ("b", "ATG"), ("c", "é-."), ("d", "Aé-")]
+        catio.write_fasta(path, records)
+        x = catio.load_fasta_matrix(path)
+        ids, seqs = zip(*records)
+        want = encode([list(s.replace(".", "-")) for s in seqs], gap_symbol="-", row_ids=ids)
+        assert x.codes.tolist() == want.codes.tolist()
+        assert x.cardinalities.tolist() == want.cardinalities.tolist()
+        assert (x.labels, x.gap_code, x.gap_symbol, x.row_ids) == (
+            want.labels, want.gap_code, want.gap_symbol, want.row_ids
+        )
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "aln.fasta"

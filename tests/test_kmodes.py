@@ -51,6 +51,14 @@ class TestKModes:
         costs = [kmodes(x, 4, seed=7, max_iter=m).cost for m in range(1, 8)]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
 
+    def test_reseeding_leaves_no_cluster_empty(self):
+        # all distances are zero: a reseed must not take the row that
+        # reseeded the previous empty cluster
+        x = CategoricalMatrix(np.zeros((5, 3), np.int32), np.full(3, 2))
+        state = kmodes(x, 3, seed=0)
+        assert state.labels.tolist() == [1, 2, 0, 0, 0]
+        assert state.cost == 0
+
     def test_deterministic_given_seed(self):
         rng = substream(43)
         x = random_table(rng, 15, 5)
