@@ -327,14 +327,14 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    if args.newick and args.method.upper() in ("KMODES", "ENKM"):
+        raise ValueError(f"method {args.method} does not produce a dendrogram")
     opts = _options(args, (args.method,))
     x, truth = _load_input(args)
     labels, tree = run_method(args.method, x, args.k, opts)
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
     catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
     if args.newick:
-        if tree is None:
-            raise ValueError(f"method {args.method} does not produce a dendrogram")
         catio.write_newick(args.newick, tree, labels=ids)
     if args.save_dissimilarity:
         catio.write_dissimilarity_csv(args.save_dissimilarity, hamming(x, normalized=args.normalize))

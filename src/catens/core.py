@@ -303,12 +303,9 @@ class Clustering:
 
 
 def relabel_dense(labels: Sequence[int] | Sequence[str] | np.ndarray) -> Clustering:
-    """Clustering from arbitrary labels, renumbered by first appearance of
-    the smallest member index (component containing row 0 gets label 0)."""
-    # object dtype compares labels as Python values (a fixed-width numpy
-    # string array would drop trailing NUL characters)
-    values = np.asarray(labels, dtype=object)
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    # rank of each distinct label's first row among all first rows
-    rank = np.argsort(np.argsort(first))
-    return Clustering(labels=rank[inverse], K=first.size)
+    """Clustering from arbitrary labels, renumbered 0, 1, ... by first
+    appearance in one dict pass, the package's only renumbering.  Labels
+    compare as Python values, so strings keep any trailing NUL characters."""
+    first: dict = {}
+    dense = [first.setdefault(v, len(first)) for v in labels]
+    return Clustering(labels=np.array(dense, dtype=np.int64), K=len(first))

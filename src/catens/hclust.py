@@ -113,17 +113,10 @@ def _components(tree: Dendrogram, k: int) -> list[list[int]]:
     return sorted(members.values(), key=min)
 
 
-def _labelled(groups: list[list[int]], n: int) -> Clustering:
-    labels = np.empty(n, dtype=np.int64)
-    for idx, group in enumerate(groups):
-        labels[group] = idx
-    return Clustering(labels=labels, K=len(groups))
-
-
 def cut(tree: Dendrogram, k: int) -> Clustering:
     """Undo the last ``k - 1`` merges; components are labeled in order of
     their smallest member index."""
-    return _labelled(_components(tree, k), tree.n)
+    return cut_with_outlier_deferral(tree, k)
 
 
 def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> Clustering:
@@ -132,30 +125,29 @@ def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> C
 
     Each deferred point is reassigned independently to the surviving cluster
     with the smallest average dissimilarity to its (original) members, so the
-    result has at most ``k`` clusters, each of size >= ``alpha * n``.  The
-    dendrogram must carry the dissimilarity it was built from.
+    result has at most ``k`` clusters, each of size >= ``alpha * n``, labeled
+    by first appearance.  Only a cut that defers a point reads the
+    dissimilarity the dendrogram was built from (``tree.source``).
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 0.5)")
-    if alpha == 0.0:
-        return cut(tree, k)
     groups = _components(tree, k)
-    if tree.source is None:
-        raise ValueError("outlier deferral needs the dendrogram's source dissimilarity")
-    d = tree.source.values
     threshold = alpha * tree.n
     survivors = [g for g in groups if len(g) >= threshold]
     if not survivors:
         raise DataError(f"alpha={alpha} leaves no cluster of size >= {threshold:.3g}")
-    if len(survivors) == len(groups):
-        return _labelled(groups, tree.n)
     labels = np.empty(tree.n, dtype=np.int64)
     for idx, group in enumerate(survivors):
         labels[group] = idx
-    for p in (p for g in groups if len(g) < threshold for p in g):
+    deferred = [p for g in groups if len(g) < threshold for p in g]
+    if not deferred:
+        return Clustering(labels=labels, K=len(survivors))
+    if tree.source is None:
+        raise ValueError("outlier deferral needs the dendrogram's source dissimilarity")
+    for p in deferred:
         # means over the member lists in merge order: the summation order sets
         # the last bit, which decides ties between ensemble values k/B
-        labels[p] = int(np.argmin([d[p, g].mean() for g in survivors]))
+        labels[p] = int(np.argmin([tree.source.values[p, g].mean() for g in survivors]))
     return relabel_dense(labels)
 
 
@@ -174,35 +166,17 @@ def to_newick(tree: Dendrogram, labels: tuple[str, ...] | None = None) -> str:
     """Newick serialization with branch lengths taken from merge heights
     (child branch length = parent height - child height; leaves sit at 0).
 
-    Leaf ``i`` is named ``labels[i]``, or ``i`` when no labels are given."""
+    Leaf ``i`` is named ``labels[i]``, or ``i`` when no labels are given.
+    Each node's text is built in merge order from its children's, so a deep
+    tree (an SL chain, say) needs no recursion; a subtree's text is copied
+    once per ancestor, O(n * depth) characters in all."""
     names = labels or tuple(str(i) for i in range(tree.n))
     if len(names) != tree.n:
         raise ValueError("one label per leaf required")
-
-    def height(nid: int) -> float:
-        return 0.0 if nid < tree.n else tree.merges[nid - tree.n].height
-
-    if tree.n == 1:
-        return f"{_quote_label(names[0])};"
-    # an explicit stack of pending text and (node, parent height) items, so
-    # that a deep tree (an SL chain, say) cannot exhaust the recursion limit
-    parts: list[str] = []
-    stack: list[str | tuple[int, float]] = []
-
-    def open_node(m: Merge, tail: str) -> None:
-        parts.append("(")
-        stack.extend([tail, (m.right, m.height), ",", (m.left, m.height)])
-
-    open_node(tree.merges[-1], ");")
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        nid, parent_h = item
-        length = max(parent_h - height(nid), 0.0)
-        if nid < tree.n:
-            parts.append(f"{_quote_label(names[nid])}:{length:.10g}")
-        else:
-            open_node(tree.merges[nid - tree.n], f"):{length:.10g}")
-    return "".join(parts)
+    text = {i: _quote_label(name) for i, name in enumerate(names)}
+    heights = [0.0] * tree.n
+    for m in tree.merges:
+        kids = [f"{text.pop(c)}:{max(m.height - heights[c], 0.0):.10g}" for c in (m.left, m.right)]
+        text[len(heights)] = f"({','.join(kids)})"
+        heights.append(m.height)
+    return f"{text.popitem()[1]};"

@@ -79,17 +79,14 @@ def write_categorical_csv(
     x: CategoricalMatrix,
     truth: Clustering | None = None,
     delimiter: str = ",",
-    header: bool = True,
 ) -> None:
-    """Export a table in the same shape the ingestion accepts."""
+    """Export a table in the same shape the ingestion accepts, under a
+    header row ``v0, v1, ...`` (and ``truth`` when given)."""
     decoded = x.decode()
+    names = [f"v{j}" for j in range(x.J)] + (["truth"] if truth is not None else [])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        if header:
-            names = [f"v{j}" for j in range(x.J)]
-            if truth is not None:
-                names.append("truth")
-            writer.writerow(names)
+        writer.writerow(names)
         for i, row in enumerate(decoded):
             if truth is not None:
                 row = row + [str(int(truth.labels[i]))]
@@ -122,12 +119,12 @@ def read_fasta(path: str | Path) -> list[tuple[str, str]]:
     return records
 
 
-def write_fasta(path: str | Path, records: Sequence[tuple[str, str]], width: int = 60) -> None:
+def write_fasta(path: str | Path, records: Sequence[tuple[str, str]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for name, seq in records:
             handle.write(f">{name}\n")
-            for s in range(0, len(seq), width):
-                handle.write(seq[s:s + width] + "\n")
+            for s in range(0, len(seq), 60):
+                handle.write(seq[s:s + 60] + "\n")
 
 
 def load_fasta_matrix(

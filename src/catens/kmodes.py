@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, bit_planes, plane_mismatches, relabel_dense
+from .core import CategoricalMatrix, Clustering, DataError, bit_planes, plane_mismatches
 from .ensemble import EnsembleConfig, IncidenceMatrix, draw_sizes, recluster
 from .rng import substream
 
@@ -109,13 +109,10 @@ def en_kmodes(
     """Evidence-accumulation ensemble over ``B`` randomized K-modes runs.
 
     Run sizes follow ``DUnif[2, ceil(sqrt(n))]`` and each run gets a fresh
-    random initialization; the runs are combined through the ensemble
-    dissimilarity, re-clustered under average linkage and cut at
-    ``k_final``.
+    random initialization; the runs' raw labels form the incidence matrix
+    (only equality within a run matters), whose ensemble dissimilarity is
+    re-clustered under average linkage and cut at ``k_final``.
     """
     sizes = draw_sizes(EnsembleConfig(B=B, seed=seed), x.n)
-    runs = [
-        relabel_dense(kmodes(x, int(k_b), seed=substream(seed, b)).labels)
-        for b, k_b in enumerate(sizes)
-    ]
-    return recluster(IncidenceMatrix.of(runs), "AL", k_final)[0]
+    runs = [kmodes(x, int(k_b), seed=substream(seed, b)).labels for b, k_b in enumerate(sizes)]
+    return recluster(IncidenceMatrix(np.stack(runs, axis=1)), "AL", k_final)[0]

@@ -5,7 +5,8 @@ recomputes every inter-cluster linkage from the raw matrix at every step
 (no Lance-Williams updates), the encoding of a string table, the ensemble
 dissimilarity and the mismatch counts are plain loops, the matching rate
 enumerates label injections, and the bootstrap distinct-count law
-enumerates the whole sample space.
+enumerates the whole sample space.  The Newick oracle walks the tree
+top-down with an explicit stack.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from catens.core import GAP_CODE, CategoricalMatrix, DataError
+from catens.hclust import Dendrogram, Merge, _quote_label
 
 
 def brute_force_agglomerate(values: np.ndarray, linkage: str):
@@ -129,9 +131,13 @@ def naive_mismatch_counts(a, b, gap=None):
 
 
 def first_appearance_labels(labels) -> list[int]:
-    """Renumber labels 0, 1, ... in the order each value first appears."""
-    seen: dict = {}
-    return [seen.setdefault(v, len(seen)) for v in labels]
+    """Renumber labels 0, 1, ... in the order each value first appears, by
+    position in the list of distinct values (no hashing)."""
+    order: list = []
+    for v in labels:
+        if v not in order:
+            order.append(v)
+    return [order.index(v) for v in labels]
 
 
 def naive_encode(raw_table, gap_symbol=None, row_ids=None) -> CategoricalMatrix:
@@ -169,3 +175,39 @@ def naive_encode(raw_table, gap_symbol=None, row_ids=None) -> CategoricalMatrix:
         gap_symbol=gap_symbol,
         row_ids=tuple(row_ids) if row_ids is not None else None,
     )
+
+
+def stack_newick(tree: Dendrogram, labels: tuple[str, ...] | None = None) -> str:
+    """Newick text of ``tree`` written top-down, the contract of
+    ``catens.hclust.to_newick``."""
+    names = labels or tuple(str(i) for i in range(tree.n))
+    if len(names) != tree.n:
+        raise ValueError("one label per leaf required")
+
+    def height(nid: int) -> float:
+        return 0.0 if nid < tree.n else tree.merges[nid - tree.n].height
+
+    if tree.n == 1:
+        return f"{_quote_label(names[0])};"
+    # an explicit stack of pending text and (node, parent height) items, so
+    # that a deep tree (an SL chain, say) cannot exhaust the recursion limit
+    parts: list[str] = []
+    stack: list[str | tuple[int, float]] = []
+
+    def open_node(m: Merge, tail: str) -> None:
+        parts.append("(")
+        stack.extend([tail, (m.right, m.height), ",", (m.left, m.height)])
+
+    open_node(tree.merges[-1], ");")
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        nid, parent_h = item
+        length = max(parent_h - height(nid), 0.0)
+        if nid < tree.n:
+            parts.append(f"{_quote_label(names[nid])}:{length:.10g}")
+        else:
+            open_node(tree.merges[nid - tree.n], f"):{length:.10g}")
+    return "".join(parts)

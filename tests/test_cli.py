@@ -131,15 +131,19 @@ class TestClusterCommand:
         unshuffled[order] = b
         assert classification_rate(unshuffled, a) == 1.0
 
-    def test_kmodes_newick_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("method", ["KMODES", "enkm"])
+    def test_kmodes_newick_is_usage_error(self, tmp_path, method):
+        # refused before the input is read, so no labels file is written
         rng = substream(65)
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, rng)
+        out = tmp_path / "labels.csv"
         code = main([
-            "cluster", str(data), "--method", "KMODES", "--k", "2",
-            "--newick", str(tmp_path / "t.nwk"),
+            "cluster", str(data), "--method", method, "--k", "2",
+            "--newick", str(tmp_path / "t.nwk"), "--output", str(out),
         ])
         assert code == 1
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["cluster", str(tmp_path / "nope.csv"), "--method", "HCAL", "--k", "2"])

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from catens.core import DataError, DissimilarityMatrix
+from catens.core import DataError, DissimilarityMatrix, relabel_dense
 from catens.hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from catens.metrics import classification_rate
 from catens.rng import substream
 
-from .reference import brute_force_agglomerate
+from .reference import brute_force_agglomerate, stack_newick
 
 
 def matrix(values, kind="normalized"):
@@ -107,20 +107,27 @@ class TestOracleAgreement:
                 h = t.heights
                 assert np.all(np.diff(h) >= -1e-12)
 
-    def test_row_permutation_relabels_only(self):
-        rng = substream(10)
-        for _ in range(10):
-            n = int(rng.integers(4, 12))
-            d = random_matrix(rng, n)
-            perm = rng.permutation(n)
-            dp = matrix(d.values[np.ix_(perm, perm)])
-            for linkage in ("SL", "AL", "CL"):
-                a = cut(agglomerate(d, linkage), 3).labels
-                b = cut(agglomerate(dp, linkage), 3).labels
-                # b is the clustering of permuted rows; undo the permutation
-                undone = np.empty(n, dtype=int)
-                undone[perm] = b
-                assert classification_rate(undone, a) == 1.0
+    @given(
+        st.data(), st.integers(4, 20), st.sampled_from(["SL", "AL", "CL"]), st.sampled_from([0.0, 0.1, 0.2])
+    )
+    def test_row_permutation_relabels_only(self, data, n, linkage, alpha):
+        # continuous values: no ties, so permuting the rows permutes the partition
+        rng = substream(data.draw(st.integers(0, 2**32 - 1)))
+        d = random_matrix(rng, n)
+        perm = rng.permutation(n)
+        dp = matrix(d.values[np.ix_(perm, perm)])
+        k = data.draw(st.integers(1, n))
+        try:
+            a = cut_with_outlier_deferral(agglomerate(d, linkage), k, alpha).labels
+        except DataError:
+            with pytest.raises(DataError):
+                cut_with_outlier_deferral(agglomerate(dp, linkage), k, alpha)
+            return
+        b = cut_with_outlier_deferral(agglomerate(dp, linkage), k, alpha).labels
+        # b is the clustering of permuted rows; undo the permutation
+        undone = np.empty(n, dtype=np.int64)
+        undone[perm] = b
+        assert relabel_dense(undone).labels.tolist() == a.tolist()
 
 
 class TestTieBreak:
@@ -236,6 +243,28 @@ class TestDendrogramValidation:
             agglomerate(THREE_POINT, linkage)
 
 
+def _chain(n: int, heights: list[float], left_deep: bool) -> tuple[Merge, ...]:
+    """Merges of a chain over ``n`` leaves that takes in one leaf per merge:
+    0, 1, 2, ... when left-deep, n-1, n-2, ... when right-deep."""
+    if left_deep:
+        return tuple(Merge(0 if t == 0 else n + t - 1, t + 1, h, t + 2) for t, h in enumerate(heights))
+    return tuple(Merge(n - 2 - t, n - 1 if t == 0 else n + t - 1, h, t + 2) for t, h in enumerate(heights))
+
+
+@st.composite
+def newick_labels(draw, n):
+    """No labels, or ``n`` short texts that often need quoting."""
+    return draw(st.none() | st.lists(st.text(max_size=3), min_size=n, max_size=n).map(tuple))
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 30))
+    heights = sorted(draw(st.lists(st.floats(0, 10), min_size=n - 1, max_size=n - 1)))
+    tree = Dendrogram(n=n, merges=_chain(n, heights, draw(st.booleans())))
+    return tree, draw(newick_labels(n))
+
+
 class TestNewick:
     def test_worked_example(self):
         t = agglomerate(THREE_POINT, "SL")
@@ -254,6 +283,19 @@ class TestNewick:
         for t in range(1, n - 1):
             expected = f"({expected}):1,{t + 1}:{t + 1}"
         assert to_newick(Dendrogram(n=n, merges=tuple(merges))) == f"({expected});"
+
+    @given(st.data(), tied_matrices(), st.sampled_from(["SL", "AL", "CL"]))
+    def test_matches_stack_oracle_on_agglomerated_trees(self, data, d, linkage):
+        tree = agglomerate(d, linkage)
+        labels = data.draw(newick_labels(tree.n))
+        assert to_newick(tree, labels) == stack_newick(tree, labels)
+
+    @given(chains())
+    @example((Dendrogram(n=1, merges=()), None))
+    @example((Dendrogram(n=1, merges=()), ("it's",)))
+    def test_matches_stack_oracle_on_chains(self, case):
+        tree, labels = case
+        assert to_newick(tree, labels) == stack_newick(tree, labels)
 
     def test_branch_lengths_are_height_differences(self):
         rng = substream(16)

@@ -118,7 +118,7 @@ class TestFasta:
 
     def test_line_wrapping(self, tmp_path):
         path = tmp_path / "wide.fasta"
-        catio.write_fasta(path, [("long", "A" * 150)], width=60)
+        catio.write_fasta(path, [("long", "A" * 150)])
         lines = path.read_text().splitlines()
         assert lines[0] == ">long"
         assert [len(l) for l in lines[1:]] == [60, 60, 30]
