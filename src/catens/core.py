@@ -88,7 +88,7 @@ class CategoricalMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[int(j)] for j in idx)
+            labels = tuple(map(self.labels.__getitem__, idx.tolist()))
         return CategoricalMatrix(
             codes=self.codes[:, idx],
             cardinalities=self.cardinalities[idx],
@@ -201,10 +201,10 @@ def encode(
 
 def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:
     """``planes x n x words`` uint64 array: plane ``p`` holds bit ``p`` of
-    ``x - lo``, 64 columns per word, with the padding bits zero.  The offset
-    wraps around in uint64, so every int64 range of up to 64 bits is exact."""
-    off = (np.asarray(x, dtype=np.int64) - np.int64(lo)).view(np.uint64)
-    off = off.astype(np.min_scalar_type((1 << planes) - 1))
+    ``x - lo``, 64 columns per word, with the padding bits zero.  ``x - lo`` wraps
+    in the narrowest unsigned type of ``planes`` bits (one unsafe cast, no int64
+    copy), so it is exact whenever ``hi - lo`` fits."""
+    off = np.subtract(x, np.int64(lo), dtype=np.min_scalar_type((1 << planes) - 1), casting="unsafe")
     bits = np.zeros((planes, off.shape[0], -(-off.shape[1] // 64) * 64), dtype=off.dtype)
     bits[..., : off.shape[1]] = (off >> np.arange(planes, dtype=off.dtype)[:, None, None]) & 1
     return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +33,6 @@ class IncidenceMatrix:
             raise DataError("incidence matrix must be a non-empty 2-D array")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def of(cls, runs: Sequence[Clustering]) -> IncidenceMatrix:
-        """Incidence matrix with one column per clustering, in run order."""
-        return cls(entries=np.stack([c.labels for c in runs], axis=1))
 
     @property
     def n(self) -> int:
@@ -96,7 +90,8 @@ def build_incidence(
     ensemble randomness lives in the size draws.
     """
     tree = agglomerate(d, linkage)
-    return IncidenceMatrix.of([cut_with_outlier_deferral(tree, int(k), alpha) for k in sizes])
+    cuts = [cut_with_outlier_deferral(tree, int(k), alpha).labels for k in sizes]
+    return IncidenceMatrix(np.stack(cuts, axis=1))
 
 
 def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:

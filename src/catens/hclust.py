@@ -144,10 +144,10 @@ def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> C
         return Clustering(labels=labels, K=len(survivors))
     if tree.source is None:
         raise ValueError("outlier deferral needs the dendrogram's source dissimilarity")
-    for p in deferred:
-        # means over the member lists in merge order: the summation order sets
-        # the last bit, which decides ties between ensemble values k/B
-        labels[p] = int(np.argmin([tree.source.values[p, g].mean() for g in survivors]))
+    # a block row is p's values to a survivor in merge order, which numpy sums pairwise as it
+    # sums the 1-D values[p, g]: the same last bit, which decides ties between ensemble values j/B
+    means = [tree.source.values[np.ix_(deferred, g)].mean(axis=1) for g in survivors]
+    labels[deferred] = np.argmin(means, axis=0)
     return relabel_dense(labels)
 
 

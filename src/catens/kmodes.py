@@ -1,11 +1,11 @@
 """K-modes baseline and its evidence-accumulation ensemble (EN-KM).
 
 K-modes alternates nearest-mode assignment under the Hamming distance with
-componentwise recomputation of each mode as the most frequent code among
-members.  Ties are deterministic: assignment prefers the lowest cluster
-index, mode updates prefer the smallest code, and empty clusters are
-reseeded from the point farthest from its current mode among points
-whose cluster keeps another member.
+recomputation of each mode as the most frequent code per column among
+members, counted in one ``k x J x span`` int64 table.  Ties are
+deterministic: assignment prefers the lowest cluster index, mode updates
+prefer the smallest code, and empty clusters are reseeded from the point
+farthest from its current mode among points whose cluster keeps another member.
 """
 
 from __future__ import annotations
@@ -37,15 +37,11 @@ def _assign(packed: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _update_modes(codes: np.ndarray, labels: np.ndarray, k: int, span: int) -> np.ndarray:
-    n, J = codes.shape
-    offsets = np.arange(J, dtype=np.int64) * span
-    modes = np.empty((k, J), dtype=codes.dtype)
-    for c in range(k):
-        member = codes[labels == c]
-        flat = (member.astype(np.int64) + offsets[None, :]).ravel()
-        counts = np.bincount(flat, minlength=J * span).reshape(J, span)
-        modes[c] = counts.argmax(axis=1)
-    return modes
+    # one table of k * J * span int64 counts (12.8 MB at k = 8, J = 50,000, span 4)
+    J = codes.shape[1]
+    flat = (labels[:, None] * J + np.arange(J)) * span + codes
+    counts = np.bincount(flat.ravel(), minlength=k * J * span).reshape(k, J, span)
+    return counts.argmax(axis=2).astype(codes.dtype)
 
 
 def kmodes(
@@ -66,21 +62,19 @@ def kmodes(
         raise ValueError(f"cluster count must lie in [1, {x.n}], got {k}")
     rng = substream(seed)
     codes = x.codes
-    n = x.n
     span = int(x.cardinalities.max())
     packed = bit_planes(codes, 0, max(1, (span - 1).bit_length()))
-    modes = codes[rng.choice(n, size=k, replace=False)].copy()
+    modes = codes[rng.choice(x.n, size=k, replace=False)].copy()
     labels, dist = _assign(packed, modes)
     _repair_empty(codes, modes, labels, dist, k)
     it = 0
     for it in range(1, max_iter + 1):
         modes = _update_modes(codes, labels, k, span)
-        new_labels, dist = _assign(packed, modes)
-        _repair_empty(codes, modes, new_labels, dist, k)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        old = labels
+        labels, dist = _assign(packed, modes)
+        _repair_empty(codes, modes, labels, dist, k)
+        if np.array_equal(labels, old):
             break
-        labels = new_labels
     # dist[i] is row i's mismatch count to its assigned mode (0 for a reseeded row)
     return KModesState(modes=modes, labels=labels, cost=int(dist.sum()), n_iter=it)
 

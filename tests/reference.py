@@ -6,7 +6,9 @@ recomputes every inter-cluster linkage from the raw matrix at every step
 dissimilarity and the mismatch counts are plain loops, the matching rate
 enumerates label injections, and the bootstrap distinct-count law
 enumerates the whole sample space.  The Newick oracle walks the tree
-top-down with an explicit stack.
+top-down with an explicit stack.  The k-modes mode update and the α-deferral
+of small clusters keep their loops: one ``bincount`` per cluster and one
+mean per deferred point and survivor.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from catens.core import GAP_CODE, CategoricalMatrix, DataError
-from catens.hclust import Dendrogram, Merge, _quote_label
+from catens.core import GAP_CODE, CategoricalMatrix, Clustering, DataError, relabel_dense
+from catens.hclust import Dendrogram, Merge, _components, _quote_label
 
 
 def brute_force_agglomerate(values: np.ndarray, linkage: str):
@@ -211,3 +213,37 @@ def stack_newick(tree: Dendrogram, labels: tuple[str, ...] | None = None) -> str
         else:
             open_node(tree.merges[nid - tree.n], f"):{length:.10g}")
     return "".join(parts)
+
+
+def per_cluster_modes(codes: np.ndarray, labels: np.ndarray, k: int, span: int) -> np.ndarray:
+    """K-modes mode update with one ``bincount`` per cluster: each column's
+    most frequent member code, the smallest on a tie, zeros when empty."""
+    n, J = codes.shape
+    offsets = np.arange(J, dtype=np.int64) * span
+    modes = np.empty((k, J), dtype=codes.dtype)
+    for c in range(k):
+        member = codes[labels == c]
+        flat = (member.astype(np.int64) + offsets[None, :]).ravel()
+        counts = np.bincount(flat, minlength=J * span).reshape(J, span)
+        modes[c] = counts.argmax(axis=1)
+    return modes
+
+
+def per_point_deferral(tree: Dendrogram, k: int, alpha: float) -> Clustering:
+    """Cut at ``k`` and move each point of a cluster smaller than
+    ``alpha * n`` to the survivor of least mean dissimilarity, one point and
+    one 1-D mean over the survivor's merge-order member list at a time."""
+    groups = _components(tree, k)
+    threshold = alpha * tree.n
+    survivors = [g for g in groups if len(g) >= threshold]
+    if not survivors:
+        raise DataError(f"alpha={alpha} leaves no cluster of size >= {threshold:.3g}")
+    labels = np.empty(tree.n, dtype=np.int64)
+    for idx, group in enumerate(survivors):
+        labels[group] = idx
+    deferred = [p for g in groups if len(g) < threshold for p in g]
+    if not deferred:
+        return Clustering(labels=labels, K=len(survivors))
+    for p in deferred:
+        labels[p] = int(np.argmin([tree.source.values[p, g].mean() for g in survivors]))
+    return relabel_dense(labels)

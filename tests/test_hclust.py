@@ -9,7 +9,7 @@ from catens.hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_
 from catens.metrics import classification_rate
 from catens.rng import substream
 
-from .reference import brute_force_agglomerate, stack_newick
+from .reference import brute_force_agglomerate, per_point_deferral, stack_newick
 
 
 def matrix(values, kind="normalized"):
@@ -222,6 +222,24 @@ class TestOutlierDeferral:
             return
         assert res.K <= k
         assert np.bincount(res.labels).min() >= alpha * n
+
+    @given(st.data(), st.sampled_from(["SL", "AL", "CL"]))
+    def test_block_means_match_per_point_oracle(self, data, linkage):
+        # ensemble values j/B with B <= 5: ties between survivors' means are
+        # common, and the last bit of each mean decides them; a seeded draw
+        # varies the entries more than hypothesis arrays, which repeat a fill
+        n, B = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 5))
+        upper = np.triu(substream(data.draw(st.integers(0, 2**32 - 1))).integers(0, B + 1, (n, n)), 1)
+        tree = agglomerate(matrix((upper + upper.T) / B, kind="ensemble"), linkage)
+        for alpha in (0.05, 0.1, 0.2):
+            for k in range(1, n + 1):
+                try:
+                    expected = per_point_deferral(tree, k, alpha).labels
+                except DataError:
+                    with pytest.raises(DataError):
+                        cut_with_outlier_deferral(tree, k, alpha)
+                    continue
+                assert cut_with_outlier_deferral(tree, k, alpha).labels.tolist() == expected.tolist()
 
 
 class TestDendrogramValidation:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catens.core import CategoricalMatrix, DataError, encode, relabel_dense
-from catens.kmodes import en_kmodes, kmodes
+from catens.kmodes import _update_modes, en_kmodes, kmodes
 from catens.metrics import classification_rate
 from catens.rng import substream
 
+from .reference import per_cluster_modes
 from .test_ensemble import two_block_table
 
 
@@ -86,6 +90,19 @@ class TestKModes:
         x = encode([["a", "-"], ["b", "c"]], gap_symbol="-")
         with pytest.raises(DataError):
             kmodes(x, 2)
+
+
+class TestModeUpdate:
+    @given(st.data())
+    def test_count_table_matches_per_cluster_oracle(self, data):
+        # few codes and few rows per cluster: ties are common, and labels
+        # drawn from 0..k-1 leave some clusters empty
+        n, J, span, k = (data.draw(st.integers(1, hi)) for hi in (30, 8, 4, 8))
+        codes = data.draw(arrays(np.int32, (n, J), elements=st.integers(0, span - 1)))
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        got = _update_modes(codes, labels, k, span)
+        assert got.dtype == codes.dtype
+        assert got.tolist() == per_cluster_modes(codes, labels, k, span).tolist()
 
 
 class TestEnKModes:
