@@ -20,8 +20,8 @@ import numpy as np
 
 GAP_CODE = -1
 
-# cap on the uint64 words in one block temporary of plane_mismatches() (8 MB)
-_BLOCK_ELEMS = 2**20
+# cap on the uint64 words in one block temporary of plane_mismatches() (1 MB)
+_BLOCK_ELEMS = 2**17
 # cap on the int32 entries of encode()'s working table (16 MB)
 _RANK_CELLS = 2**22
 

@@ -4,7 +4,9 @@ Single, average and complete linkage via Lance-Williams updates, with a
 deterministic tie-break: among all cluster pairs attaining the minimal
 dissimilarity, the pair whose (smaller, larger) original smallest-leaf
 indices are lexicographically least is merged.  Average linkage is the
-unweighted pair-group mean (size-weighted Lance-Williams update).
+unweighted pair-group mean (size-weighted Lance-Williams update).  The
+merge search keeps a lower bound per row and rescans only the row of least
+bound: O(n^2) memory, O(n) numpy work per merge plus rescans, O(n^3) at worst.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
 
     Repeatedly merges the pair of active clusters at minimal inter-cluster
     dissimilarity; the inter-cluster values are maintained by Lance-Williams
-    updates (min for SL, max for CL, size-weighted mean for AL).
+    updates (min for SL, max for CL, size-weighted mean for AL).  ``bound[r]``
+    is never above row ``r``'s least live value; when the first row ``i`` of
+    least bound attains it, every earlier row's minimum is larger, so ``(i, j)``
+    is argmin's row-major first minimum, the tie-break.  Worst case O(n^3).
     """
     check_linkage(linkage)
     n = d.n
@@ -75,28 +80,33 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
         raise DataError("agglomeration needs at least two rows")
     work = d.values.copy()
     np.fill_diagonal(work, np.inf)
-    sizes = np.ones(n, dtype=np.int64)
-    node = np.arange(n, dtype=np.int64)   # dendrogram node id per slot
+    bound = work.min(axis=1)
+    sizes = [1] * n
+    node = list(range(n))   # dendrogram node id per slot
     merges: list[Merge] = []
     for t in range(n - 1):
-        # a merge keeps the lower slot (its cluster's smallest leaf) and writes
-        # one vector to row and column i, so ``work`` stays exactly symmetric and
-        # argmin's first minimum is the tie-break: the first i < j, row-major
-        i, j = divmod(int(work.argmin()), n)
-        h = work[i, j]
+        while True:   # rescan the row of least bound until its bound is exact
+            i = int(bound.argmin())
+            j = int(work[i].argmin())
+            if (h := work[i, j]) == bound[i]:
+                break
+            bound[i] = h
         if linkage == "SL":
             row = np.minimum(work[i], work[j])
         elif linkage == "CL":
             row = np.maximum(work[i], work[j])
         else:
             row = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
-        work[i, :] = row
+        # row and column i get one vector (exact symmetry); dead rows are never read
+        row[i] = row[j] = np.inf
+        work[i] = row
         work[:, i] = row
-        work[i, i] = np.inf
-        work[j, :] = np.inf
         work[:, j] = np.inf
+        np.minimum(bound, row, out=bound)
+        bound[i] = row.min()
+        bound[j] = np.inf
         sizes[i] += sizes[j]
-        merges.append(Merge(int(node[i]), int(node[j]), float(h), int(sizes[i])))
+        merges.append(Merge(node[i], node[j], float(h), sizes[i]))
         node[i] = n + t
     return Dendrogram(n=n, merges=tuple(merges), source=d)
 

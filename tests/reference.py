@@ -6,9 +6,10 @@ recomputes every inter-cluster linkage from the raw matrix at every step
 dissimilarity and the mismatch counts are plain loops, the matching rate
 enumerates label injections, and the bootstrap distinct-count law
 enumerates the whole sample space.  The Newick oracle walks the tree
-top-down with an explicit stack.  The k-modes mode update and the α-deferral
-of small clusters keep their loops: one ``bincount`` per cluster and one
-mean per deferred point and survivor.
+top-down with an explicit stack.  The one-``argmin``-per-merge agglomeration
+loop is kept as the exact-merge oracle of the lower-bound search.  The k-modes
+mode update and the α-deferral of small clusters keep their loops: one
+``bincount`` per cluster and one mean per deferred point and survivor.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ from math import comb, factorial
 
 import numpy as np
 
-from catens.core import GAP_CODE, CategoricalMatrix, Clustering, DataError, relabel_dense
-from catens.hclust import Dendrogram, Merge, _components, _quote_label
+from catens.core import (
+    GAP_CODE,
+    CategoricalMatrix,
+    Clustering,
+    DataError,
+    DissimilarityMatrix,
+    relabel_dense,
+)
+from catens.hclust import Dendrogram, Merge, _components, _quote_label, check_linkage
 
 
 def brute_force_agglomerate(values: np.ndarray, linkage: str):
@@ -55,6 +63,41 @@ def brute_force_agglomerate(values: np.ndarray, linkage: str):
         merges.append((height, merged))
         cuts[len(clusters)] = _labels_of(clusters, n)
     return merges, cuts
+
+
+def argmin_agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
+    """Lance-Williams agglomeration with one whole-matrix ``argmin`` per merge:
+    the loop the per-row lower-bound search replaced, merge for merge."""
+    check_linkage(linkage)
+    n = d.n
+    if n < 2:
+        raise DataError("agglomeration needs at least two rows")
+    work = d.values.copy()
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(n, dtype=np.int64)
+    node = np.arange(n, dtype=np.int64)   # dendrogram node id per slot
+    merges: list[Merge] = []
+    for t in range(n - 1):
+        # a merge keeps the lower slot (its cluster's smallest leaf) and writes
+        # one vector to row and column i, so ``work`` stays exactly symmetric and
+        # argmin's first minimum is the tie-break: the first i < j, row-major
+        i, j = divmod(int(work.argmin()), n)
+        h = work[i, j]
+        if linkage == "SL":
+            row = np.minimum(work[i], work[j])
+        elif linkage == "CL":
+            row = np.maximum(work[i], work[j])
+        else:
+            row = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
+        work[i, :] = row
+        work[:, i] = row
+        work[i, i] = np.inf
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        sizes[i] += sizes[j]
+        merges.append(Merge(int(node[i]), int(node[j]), float(h), int(sizes[i])))
+        node[i] = n + t
+    return Dendrogram(n=n, merges=tuple(merges), source=d)
 
 
 def _labels_of(clusters: list[tuple[int, ...]], n: int) -> np.ndarray:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from catens.core import DataError, DissimilarityMatrix, relabel_dense
+from catens.ensemble import EnsembleConfig, ensemble_cluster
 from catens.hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from catens.metrics import classification_rate
 from catens.rng import substream
+from catens.simgen import Design, gen_lowdim
 
-from .reference import brute_force_agglomerate, per_point_deferral, stack_newick
+from .reference import argmin_agglomerate, brute_force_agglomerate, per_point_deferral, stack_newick
 
 
 def matrix(values, kind="normalized"):
@@ -26,10 +27,33 @@ def random_matrix(rng, n, scale=1.0):
 @st.composite
 def tied_matrices(draw):
     """Raw-count matrices with entries in {0..3} and n in 2..10: many exact
-    ties, and zero off-diagonals (duplicate rows)."""
+    ties, and zero off-diagonals (duplicate rows).  The entries come from a
+    seeded numpy stream, which mixes the tied values more than ``arrays``
+    draws, whose cells mostly repeat one fill value."""
     n = draw(st.integers(2, 10))
-    upper = np.triu(draw(arrays(np.int64, (n, n), elements=st.integers(0, 3))), 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, 4, (n, n)), 1)
     return matrix(upper + upper.T, kind="raw-count")
+
+
+def seeded_matrix(seed: int, n: int, values: str) -> DissimilarityMatrix:
+    """A symmetric matrix from ``np.random.default_rng(seed)``: ``integer``
+    counts in 0..3, ``ensemble`` fractions j/B with B <= 5, or ``continuous``
+    values in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    if values == "integer":
+        upper, kind = rng.integers(0, 4, (n, n)).astype(float), "raw-count"
+    elif values == "ensemble":
+        B = int(rng.integers(1, 6))
+        upper, kind = rng.integers(0, B + 1, (n, n)) / B, "ensemble"
+    else:
+        upper, kind = rng.random((n, n)), "normalized"
+    upper = np.triu(upper, 1)
+    return matrix(upper + upper.T, kind=kind)
+
+
+def merge_bits(tree: Dendrogram) -> list[tuple[int, int, str, int]]:
+    return [(m.left, m.right, m.height.hex(), m.size) for m in tree.merges]
 
 
 THREE_POINT = matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]], kind="raw-count")
@@ -130,6 +154,29 @@ class TestOracleAgreement:
         assert relabel_dense(undone).labels.tolist() == a.tolist()
 
 
+class TestArgminOracle:
+    """The lower-bound merge search against the one-``argmin``-per-merge loop
+    it replaced: the same merges, heights equal to the bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 80),
+        st.sampled_from(["integer", "ensemble", "continuous"]),
+        st.sampled_from(["SL", "AL", "CL"]),
+    )
+    def test_merges_match(self, seed, n, values, linkage):
+        d = seeded_matrix(seed, n, values)
+        assert merge_bits(agglomerate(d, linkage)) == merge_bits(argmin_agglomerate(d, linkage))
+
+    def test_large_n_ensemble_average_linkage(self):
+        # the shape of one ENAL re-agglomeration in the large-n benchmark
+        x, _ = gen_lowdim(Design("N600", 5, (120,) * 5), seed=3)
+        _, tree = ensemble_cluster(x, EnsembleConfig(B=25, linkage="AL", seed=3), 5)
+        e = tree.source
+        assert e.n == 600 and e.kind == "ensemble"
+        assert merge_bits(tree) == merge_bits(argmin_agglomerate(e, "AL"))
+
+
 class TestTieBreak:
     def test_lexicographic_smallest_pair_wins(self):
         # every off-diagonal distance equal: merges must follow (0,1), then
@@ -212,7 +259,8 @@ class TestOutlierDeferral:
     @given(st.data(), st.sampled_from(["SL", "AL", "CL"]), st.floats(0.0, 0.49))
     def test_every_cluster_reaches_alpha_n(self, data, linkage, alpha):
         n = data.draw(st.integers(2, 16))
-        upper = np.triu(data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 6))), 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.integers(0, 7, (n, n)), 1)
         tree = agglomerate(matrix(upper + upper.T, kind="raw-count"), linkage)
         k = data.draw(st.integers(1, n))
         try:
