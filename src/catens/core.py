@@ -90,7 +90,7 @@ class CategoricalMatrix:
         if self.labels is not None:
             labels = tuple(map(self.labels.__getitem__, idx.tolist()))
         return CategoricalMatrix(
-            codes=self.codes[:, idx],
+            codes=np.take(self.codes, idx, axis=1),  # C-ordered, unlike codes[:, idx]
             cardinalities=self.cardinalities[idx],
             gap_code=self.gap_code,
             labels=labels,
@@ -159,9 +159,11 @@ def encode(
     the column alphabet.  The code-to-string maps are retained so the table
     round-trips through :meth:`CategoricalMatrix.decode`.
 
-    Cost: one dict lookup per cell gives it the id of its value among the
-    table's ``S`` distinct values; numpy ranks the ids with an ``(S + 1) x w``
-    int32 table, one pass over the rows per ``w = max(1, _RANK_CELLS // (S + 1))`` columns.
+    Cost: a cell gets the id of its value among the table's ``S`` distinct values from an
+    int32 table indexed by code point, one row at a time, when every row is a ``str`` (one
+    character per cell, as in FASTA), else by one dict lookup per cell; numpy ranks the ids
+    with an ``(S + 1) x w`` int32 table, one pass over the rows per
+    ``w = max(1, _RANK_CELLS // (S + 1))`` columns.
     """
     rows = list(raw_table)
     if not rows or not rows[0]:
@@ -171,7 +173,14 @@ def encode(
         raise DataError("ragged rows: all rows must have the same length")
     symbols = list(set().union(*map(set, rows)))
     index = {s: i for i, s in enumerate(symbols)}
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32, n * J).reshape(n, J)
+    if all(isinstance(r, str) for r in rows):
+        lut = np.zeros(max(map(ord, symbols)) + 1, dtype=np.int32)
+        lut[list(map(ord, symbols))] = np.arange(len(symbols))
+        codes = np.empty((n, J), dtype=np.int32)
+        for r, out in zip(rows, codes):
+            np.take(lut, np.frombuffer(r.encode("utf-32-le", "surrogatepass"), "<u4"), out=out)
+    else:
+        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32, n * J).reshape(n, J)
     # rank[s, j]: code of symbol s in column j, -2 until s first appears there;
     # the gap's row (a spare last row when there is no gap) holds GAP_CODE
     gap = len(symbols) if gap_symbol is None else index.get(gap_symbol, len(symbols))
@@ -213,22 +222,28 @@ def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:
 def plane_mismatches(
     pa: np.ndarray, pb: np.ndarray, va: np.ndarray | None = None, vb: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(counts, compared)`` between the rows of two :func:`bit_planes`
-    packings.  With packed validity masks ``va``/``vb`` only columns valid
-    in both rows count; without them ``compared`` is ``None``.  Rows of
-    ``pa`` go in blocks whose temporary holds at most ``_BLOCK_ELEMS`` words."""
+    """``(counts, compared)`` between the rows of two :func:`bit_planes` packings.  With
+    packed validity masks ``va``/``vb`` only columns valid in both rows count; without them
+    ``compared`` is ``None``.  Rows of ``pa`` go in blocks whose temporary holds at most
+    ``_BLOCK_ELEMS`` words.  A self-comparison (``pa is pb``, ``va is vb``) counts each
+    pair ``i <= k`` once and mirrors it."""
     (planes, n, words), m = pa.shape, pb.shape[1]
     counts = np.empty((n, m), dtype=np.int64)
     compared = None if va is None else np.empty_like(counts)
+    same = pa is pb and va is vb
     block = max(1, _BLOCK_ELEMS // (planes * m * words))
     for s in range(0, n, block):
-        rows = slice(s, s + block)
-        diff = np.bitwise_or.reduce(pa[:, rows, None] ^ pb[:, None], axis=0)
+        rows, cols = slice(s, s + block), slice(s if same else 0, m)
+        diff = np.bitwise_or.reduce(pa[:, rows, None] ^ pb[:, None, cols], axis=0)
         if va is not None:
-            both = va[rows, None] & vb[None]
-            compared[rows] = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+            both = va[rows, None] & vb[None, cols]
+            compared[rows, cols] = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
             diff &= both
-        counts[rows] = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+        counts[rows, cols] = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+        if same:  # mirror the strip right of the block into the rows below it
+            counts[s + block:, rows] = counts[rows, s + block:].T
+            if va is not None:
+                compared[s + block:, rows] = compared[rows, s + block:].T
     return counts, compared
 
 
@@ -242,7 +257,8 @@ def mismatch_counts(
     where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
     the columns actually compared; without it ``compared`` is the column
     count.  Both tables are bit-sliced over their joint value range and
-    compared 64 columns per word with popcount, in exact integer sums.
+    compared 64 columns per word with popcount, in exact integer sums.  With
+    ``b is a`` each pair ``i <= k`` is counted once and mirrored.
     """
     lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
     planes = max(1, (int(hi) - int(lo)).bit_length())
@@ -257,11 +273,11 @@ def mismatch_counts(
 def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatrix:
     """Pairwise mismatch counts between all rows of ``x``.
 
-    Positions where either row holds a gap are omitted from both the count
-    and, in the normalized form, the denominator; a pair of rows with no
-    comparable positions is an error.  Accumulation is pure integer work,
-    with the normalizing division done once per pair at the end, so results
-    are bitwise-identical however the row blocks are scheduled.
+    Positions where either row holds a gap are omitted from both the count and, in the
+    normalized form, the denominator; a pair of rows with no comparable positions is an
+    error.  Accumulation is pure integer work, with the normalizing division done once per
+    pair at the end, so results are bitwise-identical however the row blocks are scheduled,
+    and a mirrored entry equals the one counted directly.
     """
     if x.n < 2:
         raise DataError("need at least two rows to form pairwise dissimilarities")

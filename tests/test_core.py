@@ -77,8 +77,9 @@ class TestEncode:
     def test_matches_per_cell_oracle(self, data, gap, cells, ragged):
         # "a" and "a\0" must stay apart (a fixed-width numpy string array
         # drops trailing NULs), as must "" and multi-character or non-ASCII
-        # values; a small cap on the working table forces column blocks
-        pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "-"]
+        # values, astral-plane ones included; a small cap on the working
+        # table forces column blocks
+        pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "\U0001d538", "-"]
         n, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
         table = [data.draw(st.lists(st.sampled_from(pool), min_size=J, max_size=J)) for _ in range(n)]
         symbol = None if gap == "none" else "?" if gap == "absent" else data.draw(st.sampled_from(pool))
@@ -113,6 +114,24 @@ class TestEncode:
         assert got.labels == want.labels
         assert (got.gap_code, got.gap_symbol, got.row_ids) == (want.gap_code, want.gap_symbol, want.row_ids)
 
+    def test_string_rows_match_lists_of_characters(self):
+        # str rows take the code-point lookup, lists of strings the dict
+        # lookup; code points span one to four UTF-8 bytes, and a lone
+        # surrogate is a valid str character
+        rng = substream(8)
+        pool = ["A", "c", "\0", "é", "日", "\U0001d538", "\ud800", "-", "."]
+        for n, J in [(1, 1), (3, 70), (9, 5)]:
+            table = [["A"] * J] + [[pool[v] for v in row] for row in rng.integers(0, len(pool), size=(n - 1, J))]
+            ids = [f"r{i}" for i in range(n)]
+            for gap in (None, "-", "?"):
+                got = encode(["".join(row) for row in table], gap_symbol=gap, row_ids=ids)
+                want = encode(table, gap_symbol=gap, row_ids=ids)
+                assert got.codes.tolist() == want.codes.tolist()
+                assert got.cardinalities.tolist() == want.cardinalities.tolist()
+                assert (got.labels, got.gap_code, got.gap_symbol, got.row_ids) == (
+                    want.labels, want.gap_code, want.gap_symbol, want.row_ids
+                )
+
 
 class TestMismatchCounts:
     def check(self, a, b, gap=None):
@@ -139,11 +158,18 @@ class TestMismatchCounts:
         # a few elements per block forces many row blocks, including a short last one
         rng = substream(33)
         a, b = rng.integers(-1, 4, size=(11, 6)), rng.integers(-1, 4, size=(5, 6))
-        for elems in (1, 30, 65):
+        for elems in (1, 30, 65, core._BLOCK_ELEMS):
             monkeypatch.setattr(core, "_BLOCK_ELEMS", elems)
             self.check(a, b)
             self.check(a, b, gap=-1)
+            self.check(a, a)
             self.check(a, a, gap=-1)
+            # ``b is a`` counts the upper triangle and mirrors it; a copy
+            # takes the full cross path
+            for gap in (None, -1):
+                tri, full = mismatch_counts(a, a, gap), mismatch_counts(a, a.copy(), gap)
+                assert tri[0].dtype == full[0].dtype and np.array_equal(tri[0], full[0])
+                assert np.array_equal(tri[1], full[1])
 
     @given(
         st.data(),

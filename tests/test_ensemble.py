@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from catens import core
 from catens.core import DissimilarityMatrix, encode
 from catens.ensemble import (
     EnsembleConfig,
@@ -107,6 +108,14 @@ class TestEnsembleDissimilarity:
             w = IncidenceMatrix(entries=np.stack(cols, axis=1))
             got = ensemble_dissimilarity(w).values
             assert np.array_equal(got, naive_ensemble_dissimilarity(w.entries))
+
+    def test_matches_naive_across_row_blocks(self, monkeypatch):
+        # 7-row blocks over 40 rows: the kernel counts each pair once from
+        # the block of its first row and mirrors it, with a short last block
+        entries = substream(24).integers(0, 6, size=(40, 70))
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 7 * 3 * 40 * 2)  # 3 planes, 2 words
+        got = ensemble_dissimilarity(IncidenceMatrix(entries=entries)).values
+        assert np.array_equal(got, naive_ensemble_dissimilarity(entries))
 
     def test_values_on_grid_and_symmetric(self):
         rng = substream(22)

@@ -6,6 +6,8 @@ from catens.core import DataError, encode, hamming
 from catens.hclust import agglomerate
 from catens.simgen import DESIGNS, gen_lowdim
 
+from .reference import naive_encode
+
 
 class TestCsv:
     def test_round_trip_with_header_and_truth(self, tmp_path):
@@ -104,6 +106,21 @@ class TestFasta:
         x = catio.load_fasta_matrix(path)
         ids, seqs = zip(*records)
         want = encode([list(s.replace(".", "-")) for s in seqs], gap_symbol="-", row_ids=ids)
+        assert x.codes.tolist() == want.codes.tolist()
+        assert x.cardinalities.tolist() == want.cardinalities.tolist()
+        assert (x.labels, x.gap_code, x.gap_symbol, x.row_ids) == (
+            want.labels, want.gap_code, want.gap_symbol, want.row_ids
+        )
+
+    def test_matches_per_character_oracle(self, tmp_path):
+        # both default gap symbols, lower-case and non-ASCII residues (two- and
+        # four-byte UTF-8): the code-point lookup of str rows must agree with
+        # the per-cell oracle on the folded table
+        records = [("a", "ac.G-é"), ("b", "AC-g.\U0001d538"), ("c", "a.tgTé"), ("d", "-CTg-a")]
+        path = tmp_path / "aln.fasta"
+        catio.write_fasta(path, records)
+        x = catio.load_fasta_matrix(path)
+        want = naive_encode([list(s.replace(".", "-")) for _, s in records], "-", [r for r, _ in records])
         assert x.codes.tolist() == want.codes.tolist()
         assert x.cardinalities.tolist() == want.cardinalities.tolist()
         assert (x.labels, x.gap_code, x.gap_symbol, x.row_ids) == (
