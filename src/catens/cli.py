@@ -50,10 +50,6 @@ class MethodOptions:
     blocks: int | None = None
     normalize: bool = False
 
-    def __post_init__(self) -> None:
-        if self.blocks is not None and self.blocks < 1:
-            raise ValueError("blocks must be >= 1")
-
 
 def run_method(
     name: str,
@@ -67,16 +63,8 @@ def run_method(
         raise ValueError(f"unknown method {name!r}; expected one of {', '.join(METHODS)}")
     if name in ("WOR", "WR"):
         cfg = EnsembleConfig(B=opts.B, seed=child_seed(opts.seed, 2), alpha=opts.alpha)
-        if name == "WOR":
-            h = None
-            if opts.blocks:
-                if x.J % opts.blocks != 0:
-                    raise ValueError(f"--blocks {opts.blocks} must divide J={x.J} for WOR")
-                h = x.J // opts.blocks
-            subs = wor_subspaces(x.J, h=h, seed=child_seed(opts.seed, 1))
-        else:
-            subs = wr_subspaces(x.J, M=opts.blocks or 200, seed=child_seed(opts.seed, 1))
-        return subspace_ensemble(x, subs, cfg, k)
+        subspaces = wor_subspaces if name == "WOR" else wr_subspaces
+        return subspace_ensemble(x, subspaces(x.J, opts.blocks, seed=child_seed(opts.seed, 1)), cfg, k)
     if name in HC_METHODS:
         d = hamming(x, normalized=opts.normalize)
         tree = agglomerate(d, HC_METHODS[name])
@@ -95,8 +83,8 @@ def run_method(
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A replicated comparison of methods on one data source: a simulated
-    ``design`` or ``seq_design``, or the ``data`` loaded once from the file
-    ``input``, whose name heads the results column."""
+    ``design`` or ``seq_design``, or ``data = (name, table, truth)`` loaded
+    once from a file, whose name heads the results column."""
 
     methods: tuple[str, ...]
     replicates: int = 1
@@ -106,8 +94,7 @@ class ExperimentSpec:
     seq_design: str | None = None
     seq_j: int | None = None
     seq_sizes: tuple[int, ...] | None = None
-    input: str | None = None
-    data: tuple[CategoricalMatrix, Clustering | None] | None = None
+    data: tuple[str, CategoricalMatrix, Clustering | None] | None = None
     options: MethodOptions = field(default_factory=MethodOptions)
     workers: int = 1
 
@@ -124,8 +111,6 @@ class ExperimentSpec:
         sources = [s is not None for s in (self.design, self.seq_design, self.data)]
         if sum(sources) != 1:
             raise ValueError("exactly one of design, seq_design or data is required")
-        if (self.input is None) != (self.data is None):
-            raise ValueError("loaded data needs the input name it was read from")
         if self.design is not None and self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         if self.seq_design is not None and self.seq_design not in SEQ_DESIGNS:
@@ -146,7 +131,7 @@ def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalM
     if spec.seq_design is not None:
         design = _seq_design(spec.seq_design, spec.seq_j, spec.seq_sizes)
         return gen_highdim(design, seed=data_seed, replicate=replicate)
-    return spec.data
+    return spec.data[1:]
 
 
 def _replicate_rates(spec: ExperimentSpec, replicate: int) -> dict[str, float]:
@@ -174,7 +159,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, dict[str, tuple[float, flo
             per_rep = list(pool.map(_replicate_rates, [spec] * spec.replicates, range(spec.replicates)))
     else:
         per_rep = [_replicate_rates(spec, r) for r in range(spec.replicates)]
-    column = spec.design or spec.seq_design or Path(spec.input).name
+    column = spec.design or spec.seq_design or spec.data[0]
     results: dict[str, dict[str, tuple[float, float]]] = {}
     for method in spec.methods:
         results[method] = {column: replicate_summary([rep[method] for rep in per_rep])}
@@ -279,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seq-sizes", help="comma-separated cluster sizes for --seq-design")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--replicate", type=int, default=0)
-    ps.add_argument("--output", required=True, help=".csv or .fasta destination")
-    ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output of --design or --seq-design)")
+    ps.add_argument("--output", required=True, help=".csv or .fasta destination (.fasta: not with --design)")
+    ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output of --seq-design)")
     ps.add_argument("--delimiter", type=_one_char, default=",", help="CSV output delimiter (default ',')")
     return parser
 
@@ -355,8 +340,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seq_design=args.seq_design,
         seq_j=args.seq_j,
         seq_sizes=_parse_sizes(args.seq_sizes),
-        input=args.input,
-        data=_load_input(args) if args.input else None,
+        data=(Path(args.input).name, *_load_input(args)) if args.input else None,
         options=options,
         workers=args.workers,
     )
@@ -373,8 +357,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fasta = out.suffix.lower() in catio.FASTA_SUFFIXES
     if not args.seq_design and (args.seq_j, args.seq_sizes) != (None, None):
         raise ValueError("--seq-j and --seq-sizes apply only to --seq-design")
-    if args.truth_out and (args.noise or not fasta):
-        raise ValueError("--truth-out applies only to FASTA output of --design or --seq-design")
+    if fasta and args.design:
+        raise ValueError("FASTA holds one character per position, but --design codes run up to 20")
+    if args.truth_out and not (fasta and args.seq_design):
+        raise ValueError("--truth-out applies only to FASTA output of --seq-design")
     if fasta and args.delimiter != ",":
         raise ValueError("--delimiter applies only to CSV output")
     if args.design:

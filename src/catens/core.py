@@ -12,7 +12,7 @@ holds a gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
 
@@ -300,13 +300,13 @@ class Clustering:
     """A flat clustering: length-``n`` labels in ``[0, K)``, all present."""
 
     labels: np.ndarray
-    K: int = field(default=0)
+    K: int
 
     def __post_init__(self) -> None:
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if labels.ndim != 1 or labels.shape[0] < 1:
             raise DataError("labels must be a non-empty 1-D vector")
-        k = int(self.K) if self.K else int(labels.max()) + 1
+        k = int(self.K)
         present = np.unique(labels)
         if present[0] < 0 or present[-1] >= k or present.size != k:
             raise DataError("labels must use every index in [0, K) at least once")

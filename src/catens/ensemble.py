@@ -1,6 +1,6 @@
 """Second-stage ensembling of base hierarchical clusterings.
 
-A batch of base clusterings of sizes ``K_b ~ DUnif[k_min, k_max]`` is cut
+A batch of base clusterings of sizes ``K_b ~ DUnif[2, ceil(sqrt n)]`` is cut
 from one dendrogram and stacked into an incidence matrix; the ensemble
 dissimilarity between two rows is the fraction of base clusterings that
 separate them.  Re-clustering that matrix with the same linkage gives the
@@ -45,14 +45,9 @@ class IncidenceMatrix:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Knobs for one ensembling stage.
-
-    ``k_min``/``k_max`` default to 2 and ``ceil(sqrt(n))`` at draw time.
-    """
+    """Knobs for one ensembling stage; base sizes come from :func:`size_range`."""
 
     B: int = 25
-    k_min: int | None = None
-    k_max: int | None = None
     linkage: str = "AL"
     seed: int = 0
     alpha: float = 0.0
@@ -64,17 +59,17 @@ class EnsembleConfig:
             raise ValueError("alpha must lie in [0, 0.5)")
         check_linkage(self.linkage)
 
-    def k_range(self, n: int) -> tuple[int, int]:
-        k_min = 2 if self.k_min is None else self.k_min
-        k_max = math.ceil(math.sqrt(n)) if self.k_max is None else self.k_max
-        if not 2 <= k_min <= k_max <= n:
-            raise ValueError(f"size range [{k_min}, {k_max}] must satisfy 2 <= k_min <= k_max <= n")
-        return k_min, k_max
+
+def size_range(n: int) -> tuple[int, int]:
+    """The base clustering sizes ``(k_min, k_max) = (2, ceil(sqrt n))`` for ``n`` rows."""
+    if n < 2:
+        raise ValueError(f"base clusterings need at least 2 rows, got {n}")
+    return 2, math.ceil(math.sqrt(n))
 
 
 def draw_sizes(cfg: EnsembleConfig, n: int) -> np.ndarray:
     """Draw the ``B`` base clustering sizes for a dataset of ``n`` rows."""
-    k_min, k_max = cfg.k_range(n)
+    k_min, k_max = size_range(n)
     return substream(cfg.seed).integers(k_min, k_max + 1, size=cfg.B)
 
 

@@ -133,19 +133,19 @@ def load_fasta_matrix(
 ) -> CategoricalMatrix:
     """Encode pre-aligned FASTA records as a categorical table.
 
-    All records must share one aligned length; every listed gap symbol, a
-    single character, is folded into the first one, and any other character
-    is a residue.
+    Spaces and tabs inside sequence lines are dropped, unless listed as gap
+    symbols; every listed gap symbol, a single character, is folded into the
+    first one, and any other character is a residue.  All records must then
+    share one aligned length.
     """
     if any(len(g) != 1 for g in gap_symbols):
         raise ValueError(f"FASTA gap symbols must be single characters, got {list(gap_symbols)}")
     records = read_fasta(path)
-    lengths = {len(seq) for _, seq in records}
-    if len(lengths) != 1:
-        raise DataError(f"{path}: aligned sequences must share one length, found {sorted(lengths)}")
     gap = next(iter(gap_symbols), None)
-    fold = str.maketrans(dict.fromkeys(gap_symbols, gap))
+    fold = str.maketrans({" ": None, "\t": None, **dict.fromkeys(gap_symbols, gap)})
     rows = [seq.translate(fold) for _, seq in records]
+    if len(lengths := {len(row) for row in rows}) != 1:
+        raise DataError(f"{path}: aligned sequences must share one length, found {sorted(lengths)}")
     ids = [name for name, _ in records]
     return encode(rows, gap_symbol=gap, row_ids=ids)
 

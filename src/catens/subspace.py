@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import stirling2
 
 from .core import CategoricalMatrix, Clustering, DataError
-from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster
+from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster, size_range
 from .hclust import Dendrogram
 from .rng import child_seed, substream
 
@@ -51,23 +51,22 @@ class SubspaceSet:
         return len(self.subsets)
 
 
-def wor_subspaces(J: int, h: int | None = None, seed: int = 0) -> SubspaceSet:
+def wor_subspaces(J: int, blocks: int | None = None, seed: int = 0) -> SubspaceSet:
     """Chop a random permutation of the columns into disjoint blocks.
 
-    With ``h`` given, the blocks all have length ``h`` (which must divide
-    ``J``); with ``h=None`` the block lengths are drawn sequentially as
-    ``DUnif[1, remaining]`` until the columns are exhausted.
+    With ``blocks`` given, the blocks all have length ``J / blocks`` (the
+    count must divide ``J``); with ``blocks=None`` the block lengths are
+    drawn sequentially as ``DUnif[1, remaining]`` until the columns are
+    exhausted.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
+    if blocks is not None and (blocks < 1 or J % blocks != 0):
+        raise ValueError(f"WOR block count {blocks} must be >= 1 and divide J={J}")
     rng = substream(seed)
     perm = rng.permutation(J)
-    if h is not None:
-        if not 1 <= h <= J:
-            raise ValueError(f"block size must lie in [1, {J}], got {h}")
-        if J % h != 0:
-            raise ValueError(f"block size {h} does not divide J={J}")
-        lengths = [h] * (J // h)
+    if blocks is not None:
+        lengths = [J // blocks] * blocks
     else:
         lengths = []
         remaining = J
@@ -83,8 +82,8 @@ def wor_subspaces(J: int, h: int | None = None, seed: int = 0) -> SubspaceSet:
     return SubspaceSet(subsets=tuple(subsets), source_J=J)
 
 
-def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
-    """Double-bootstrap column subsets with duplicate removal.
+def wr_subspaces(J: int, M: int | None = None, seed: int = 0) -> SubspaceSet:
+    """``M`` (default 200) double-bootstrap column subsets with duplicate removal.
 
     Each subset starts from ``J`` draws with replacement, deduplicated
     (about ``1 - 1/e ~ 0.63`` of the columns survive); a second round of the
@@ -92,10 +91,11 @@ def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
     columns per subset.  Subsets use independent substreams keyed by their
     index, so any generation order yields the same family.
     """
+    M = 200 if M is None else M
     if J < 1:
         raise ValueError("J must be >= 1")
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValueError(f"WR subset count {M} must be >= 1")
     subsets = []
     for r in range(M):
         rng = substream(seed, r)
@@ -104,36 +104,22 @@ def wr_subspaces(J: int, M: int = 200, seed: int = 0) -> SubspaceSet:
     return SubspaceSet(subsets=tuple(subsets), source_J=J)
 
 
-def distinct_count_pmf(
-    J: int,
-    n_samples: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def distinct_count_pmf(J: int) -> np.ndarray:
     """Distribution of the number of distinct values in ``J`` draws with
     replacement from ``J`` objects, as a vector over ``k = 1..J``.
 
-    Exact for ``J <= 12`` (via Stirling numbers of the second kind for the
-    surjection counts); beyond that a Monte Carlo estimate over
-    ``n_samples`` bootstrap draws is returned.
+    Exact for every ``J``: ``P(k) = C(J, k) k! S(J, k) / J^J``, with the
+    surjection counts from Stirling numbers of the second kind ``S(J, k)``
+    in integer arithmetic, divided once per ``k``.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    if J <= 12 and n_samples is None:
-        total = J**J
-        probs = [
-            math.comb(J, k) * math.factorial(k) * stirling2(J, k, exact=True) / total
-            for k in range(1, J + 1)
-        ]
-        return np.array(probs, dtype=np.float64)
-    samples = 100_000 if n_samples is None else n_samples
-    if samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = substream(seed)
-    counts = np.zeros(J, dtype=np.int64)
-    for _ in range(samples):
-        k = np.unique(rng.integers(0, J, size=J)).size
-        counts[k - 1] += 1
-    return counts / samples
+    total = J**J
+    probs = [
+        math.comb(J, k) * math.factorial(k) * stirling2(J, k, exact=True) / total
+        for k in range(1, J + 1)
+    ]
+    return np.array(probs, dtype=np.float64)
 
 
 def subspace_ensemble(
@@ -145,16 +131,16 @@ def subspace_ensemble(
     """Cluster every column subset, then ensemble the per-subspace results.
 
     Each subspace is clustered by :func:`ensemble_cluster` under
-    ``base_cfg`` (ENAL by default) at its own size ``K_r`` drawn from the
-    base size range; the resulting labelings form an incidence matrix whose
-    ensemble dissimilarity is re-agglomerated under average linkage and cut
-    at ``k_final``.  Subspace pipelines use substreams keyed by the
+    ``base_cfg`` (ENAL by default) at its own size ``K_r`` drawn from
+    :func:`size_range`; the resulting labelings form an incidence matrix
+    whose ensemble dissimilarity is re-agglomerated under average linkage
+    and cut at ``k_final``.  Subspace pipelines use substreams keyed by the
     subset index and can run in any order.
     """
     if s.source_J != x.J:
         raise DataError(f"subsets drawn over {s.source_J} columns, data has J={x.J}")
     runs = []
-    k_min, k_max = base_cfg.k_range(x.n)
+    k_min, k_max = size_range(x.n)
     for r, sub in enumerate(s.subsets):
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))

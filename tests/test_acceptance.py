@@ -155,7 +155,7 @@ def _highdim_rate(mode: str, J: int, M: int, r: int) -> float:
         if mode == "WR":
             subs = wr_subspaces(J, M=M, seed=child_seed(403, r))
         else:
-            subs = wor_subspaces(J, h=J // M, seed=child_seed(404, r))
+            subs = wor_subspaces(J, blocks=M, seed=child_seed(404, r))
         labels, _ = subspace_ensemble(x, subs, cfg, 5)
         _HIGHDIM_RATES[key] = classification_rate(labels, truth)
     return _HIGHDIM_RATES[key]

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from catens import cli
 from catens import io as catio
 from catens.cli import ExperimentSpec, MethodOptions, build_parser, main, run_experiment, run_method
 from catens.core import encode
@@ -325,8 +326,14 @@ class TestExperimentCommand:
             ExperimentSpec(methods=("HCAL",), replicates=0, design="D1")
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("HCAL",))  # no source
+        x, truth = gen_lowdim(DESIGNS["D10"], seed=1)
         with pytest.raises(ValueError):
-            ExperimentSpec(methods=("HCAL",), input="d.csv")  # named but not loaded
+            ExperimentSpec(methods=("HCAL",), design="D10", data=("d.csv", x, truth))  # two sources
+
+    def test_loaded_data_is_reported_under_its_name(self):
+        x, truth = gen_lowdim(DESIGNS["D10"], seed=1)
+        results = run_experiment(ExperimentSpec(methods=("HCAL",), replicates=2, data=("mine.csv", x, truth)))
+        assert list(results["HCAL"]) == ["mine.csv"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         spec = ExperimentSpec(
@@ -385,6 +392,15 @@ class TestSimulateCommand:
         flag = [str(tmp_path / v) if v.endswith(".csv") else v for v in flag]
         assert main(["simulate", *source, "--output", str(tmp_path / output), *flag]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fasta_of_a_design_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a table for an output that cannot hold it")
+
+        monkeypatch.setattr(cli, "gen_lowdim", no_draw)
+        assert main(["simulate", "--design", "D10", "--output", str(tmp_path / "sim.fasta")]) == 1
+        assert "FASTA holds one character per position" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

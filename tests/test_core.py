@@ -73,13 +73,16 @@ class TestEncode:
         st.sampled_from(["none", "present", "absent", "gap-column"]),
         st.sampled_from([1, 7, core._RANK_CELLS]),
         st.booleans(),
+        st.booleans(),
     )
-    def test_matches_per_cell_oracle(self, data, gap, cells, ragged):
+    def test_matches_per_cell_oracle(self, data, gap, cells, ragged, one_char):
         # "a" and "a\0" must stay apart (a fixed-width numpy string array
         # drops trailing NULs), as must "" and multi-character or non-ASCII
         # values, astral-plane ones included; a small cap on the working
         # table forces column blocks
         pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "\U0001d538", "-"]
+        if one_char:  # tables of one-character values, so str rows often reach the code-point path
+            pool = [v for v in pool if len(v) == 1]
         n, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
         table = [data.draw(st.lists(st.sampled_from(pool), min_size=J, max_size=J)) for _ in range(n)]
         symbol = None if gap == "none" else "?" if gap == "absent" else data.draw(st.sampled_from(pool))

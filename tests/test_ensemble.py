@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from catens import core
-from catens.core import DissimilarityMatrix, encode
+from catens.core import DissimilarityMatrix, encode, hamming
 from catens.ensemble import (
     EnsembleConfig,
     IncidenceMatrix,
@@ -13,6 +13,8 @@ from catens.ensemble import (
     draw_sizes,
     ensemble_cluster,
     ensemble_dissimilarity,
+    recluster,
+    size_range,
 )
 from catens.hclust import agglomerate, cut
 from catens.metrics import classification_rate
@@ -42,9 +44,10 @@ class TestDrawSizes:
         sizes = draw_sizes(cfg, 100)
         assert sizes.min() >= 2 and sizes.max() <= 10
 
-    def test_degenerate_range(self):
-        cfg = EnsembleConfig(B=10, k_min=3, k_max=3)
-        assert np.all(draw_sizes(cfg, 50) == 3)
+    def test_size_range(self):
+        assert [size_range(n) for n in (2, 4, 5, 100, 101)] == [(2, 2), (2, 2), (2, 3), (2, 10), (2, 11)]
+        with pytest.raises(ValueError):
+            size_range(1)
 
     def test_reproducible(self):
         cfg = EnsembleConfig(B=20, seed=9)
@@ -178,8 +181,7 @@ class TestEnsembleCluster:
         np.fill_diagonal(m, 0)
         d = matrix(m / m.max())
         for linkage in ("SL", "AL", "CL"):
-            cfg = EnsembleConfig(B=1, k_min=3, k_max=3, linkage=linkage, seed=1)
-            labels, _ = ensemble_cluster(d, cfg, 3)
+            labels, _ = recluster(build_incidence(d, [3], linkage), linkage, 3)
             base = cut(agglomerate(d, linkage), 3)
             assert classification_rate(labels, base) == 1.0
 
@@ -187,18 +189,14 @@ class TestEnsembleCluster:
         x = two_block_table()
         truth = np.array([0] * 5 + [1] * 5)
         for linkage in ("SL", "AL", "CL"):
-            for cfg in (
-                EnsembleConfig(B=8, k_min=2, k_max=2, linkage=linkage, seed=3),
-                EnsembleConfig(B=15, linkage=linkage, seed=4),
-            ):
-                labels, _ = ensemble_cluster(x, cfg, 2)
+            fixed, _ = recluster(build_incidence(hamming(x, normalized=True), [2] * 8, linkage), linkage, 2)
+            drawn, _ = ensemble_cluster(x, EnsembleConfig(B=15, linkage=linkage, seed=4), 2)
+            for labels in (fixed, drawn):
                 assert classification_rate(labels, truth) == 1.0
 
     def test_accepts_matrix_or_table(self):
         x = two_block_table()
         cfg = EnsembleConfig(B=5, seed=6)
-        from catens.core import hamming
-
         a, _ = ensemble_cluster(x, cfg, 2)
         b, _ = ensemble_cluster(hamming(x, normalized=True), cfg, 2)
         assert np.array_equal(a.labels, b.labels)

@@ -127,6 +127,22 @@ class TestFasta:
             want.labels, want.gap_code, want.gap_symbol, want.row_ids
         )
 
+    def test_spaces_and_tabs_inside_sequence_lines_are_dropped(self, tmp_path):
+        path = tmp_path / "aln.fasta"
+        path.write_text(">a\nACGT ACGT\n>b\nACG TACGT\n>c\nAC\tG-\n ACGA\n", encoding="utf-8")
+        x = catio.load_fasta_matrix(path)
+        assert x.J == 8
+        assert catio.matrix_to_fasta_records(x) == [("a", "ACGTACGT"), ("b", "ACGTACGT"), ("c", "ACG-ACGA")]
+        assert hamming(x).values[0, 1] == 0
+        # a whitespace gap symbol folds into the gap instead of being dropped
+        path.write_text(">a\nAC GT\n>b\nACG\tTT\n", encoding="utf-8")
+        x = catio.load_fasta_matrix(path, gap_symbols=("-", " "))
+        assert catio.matrix_to_fasta_records(x) == [("a", "AC-GT"), ("b", "ACGTT")]
+        # lengths are compared once the spaces are gone
+        path.write_text(">a\nAC GT\n>b\nACGTT\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"\[4, 5\]"):
+            catio.load_fasta_matrix(path)
+
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "aln.fasta"
         catio.write_fasta(path, [("a", "ACGT"), ("b", "ACG")])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from catens.rng import substream
 from catens.simgen import (
     DESIGNS,
     Design,
@@ -32,6 +33,17 @@ class TestDesignTable:
             Design("bad", 2, (3,))
 
 
+def drawn_parameters(design, seed, replicate=0):
+    """``(a_j, p_jk)`` re-drawn from ``substream(seed, replicate, j)`` in the
+    order ``gen_lowdim``'s docstring gives."""
+    bounds, probs = [], []
+    for j in range(design.J):
+        rng = substream(seed, replicate, j)
+        bounds.append(int(rng.integers(3, 21)))
+        probs.append(rng.uniform(0.1, 0.9, size=design.K))
+    return np.array(bounds), np.array(probs)
+
+
 class TestGenLowdim:
     def test_shapes_and_truth(self):
         x, truth = gen_lowdim(DESIGNS["D11"], seed=1)
@@ -39,13 +51,14 @@ class TestGenLowdim:
         assert np.bincount(truth.labels).tolist() == [15, 35]
 
     def test_codes_within_binomial_support(self):
-        x, truth, bounds, probs = gen_lowdim(DESIGNS["D1"], seed=2, return_params=True)
+        x, _ = gen_lowdim(DESIGNS["D1"], seed=2)
+        bounds, probs = drawn_parameters(DESIGNS["D1"], seed=2)
+        assert np.array_equal(bounds, x.cardinalities - 1)
         assert np.all(bounds >= 3) and np.all(bounds <= 20)
         assert np.all(probs >= 0.1) and np.all(probs <= 0.9)
         for j in range(x.J):
             assert x.codes[:, j].min() >= 0
             assert x.codes[:, j].max() <= bounds[j]
-            assert x.cardinalities[j] == bounds[j] + 1
 
     def test_bit_reproducible(self):
         a, _ = gen_lowdim(DESIGNS["D5"], seed=3, replicate=2)
@@ -61,7 +74,9 @@ class TestGenLowdim:
         # one big cluster: the empirical column distribution must match the
         # binomial pinned by the drawn (a_j, p_j1)
         design = Design("big", 1, (4000,), J=2)
-        x, _, bounds, probs = gen_lowdim(design, seed=4, return_params=True)
+        x, _ = gen_lowdim(design, seed=4)
+        bounds, probs = drawn_parameters(design, seed=4)
+        assert np.array_equal(bounds, x.cardinalities - 1)
         for j in range(2):
             a, p = int(bounds[j]), float(probs[j, 0])
             observed = np.bincount(x.codes[:, j], minlength=a + 1)

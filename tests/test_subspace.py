@@ -22,17 +22,18 @@ from .test_ensemble import two_block_table
 
 class TestWorSubspaces:
     def test_fixed_blocks_partition(self):
-        s = wor_subspaces(6, h=3, seed=1)
+        s = wor_subspaces(6, blocks=2, seed=1)
         assert s.R == 2
         assert sorted(np.concatenate(s.subsets).tolist()) == list(range(6))
 
     def test_full_width_block_is_identity(self):
-        s = wor_subspaces(5, h=5, seed=2)
+        s = wor_subspaces(5, blocks=1, seed=2)
         assert s.R == 1 and s.subsets[0].tolist() == [0, 1, 2, 3, 4]
 
     def test_indivisible_block_size_rejected(self):
-        with pytest.raises(ValueError):
-            wor_subspaces(10, h=3, seed=0)
+        for blocks in (3, 0, -2, 11):
+            with pytest.raises(ValueError, match="must be >= 1 and divide J=10"):
+                wor_subspaces(10, blocks=blocks, seed=0)
 
     def test_random_lengths_partition_and_determinism(self):
         a = wor_subspaces(10, seed=7)
@@ -51,8 +52,9 @@ class TestWorSubspaces:
 
     @given(st.data(), st.integers(1, 300), st.integers(0, 2**32))
     def test_partition_into_sorted_blocks(self, data, J, seed):
-        h = data.draw(st.sampled_from([None, *(d for d in range(1, J + 1) if J % d == 0)]))
-        s = wor_subspaces(J, h=h, seed=seed)
+        blocks = data.draw(st.sampled_from([None, *(d for d in range(1, J + 1) if J % d == 0)]))
+        s = wor_subspaces(J, blocks=blocks, seed=seed)
+        assert blocks is None or s.R == blocks
         assert np.array_equal(np.sort(np.concatenate(s.subsets)), np.arange(J))
         assert all(np.all(np.diff(sub) > 0) for sub in s.subsets)
 
@@ -61,6 +63,12 @@ class TestWrSubspaces:
     def test_single_column(self):
         s = wr_subspaces(1, M=5, seed=3)
         assert all(sub.tolist() == [0] for sub in s.subsets)
+
+    def test_default_count_and_invalid_count(self):
+        assert wr_subspaces(3, seed=1).R == wr_subspaces(3, None, seed=1).R == 200
+        for M in (0, -1):
+            with pytest.raises(ValueError, match="WR subset count"):
+                wr_subspaces(3, M=M)
 
     def test_no_duplicates_and_reproducible(self):
         a = wr_subspaces(50, M=20, seed=4)
@@ -117,24 +125,20 @@ class TestDistinctCountPmf:
             assert distinct_count_pmf(J).tolist() == enumerate_distinct_pmf(J).tolist()
 
     def test_matches_inclusion_exclusion_formula(self):
-        for J in range(1, 13):
-            assert np.allclose(distinct_count_pmf(J), exact_distinct_pmf_formula(J), atol=1e-12)
+        for J in range(1, 41):
+            assert distinct_count_pmf(J).tolist() == exact_distinct_pmf_formula(J).tolist()
 
     def test_sums_to_one(self):
-        for J in (4, 8, 12):
+        for J in (4, 8, 12, 20, 40):
             assert abs(distinct_count_pmf(J).sum() - 1.0) < 1e-12
-
-    def test_monte_carlo_path(self):
-        exact = exact_distinct_pmf_formula(20)
-        approx = distinct_count_pmf(20, n_samples=20000, seed=6)
-        assert np.max(np.abs(approx - exact)) < 0.02
 
 
 class TestSubspaceEnsemble:
     def test_single_full_subset_reduces_to_plain_ensemble(self):
-        x = two_block_table(sizes=(4, 4), J=5)
+        # four rows: size_range(4) is (2, 2), so the subspace's own size is 2
+        x = two_block_table(sizes=(2, 2), J=5)
         s = SubspaceSet(subsets=(np.arange(5),), source_J=5)
-        cfg = EnsembleConfig(B=6, k_min=2, k_max=2, seed=8)
+        cfg = EnsembleConfig(B=6, seed=8)
         labels, _ = subspace_ensemble(x, s, cfg, 2)
         base, _ = ensemble_cluster(x, cfg, 2)
         assert classification_rate(labels, base) == 1.0
