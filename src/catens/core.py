@@ -159,10 +159,12 @@ def encode(
     the column alphabet.  The code-to-string maps are retained so the table
     round-trips through :meth:`CategoricalMatrix.decode`.
 
-    Cost: a cell gets the id of its value among the table's ``S`` distinct values from an
-    int32 table indexed by code point, one row at a time, when every row is a ``str`` (one
-    character per cell, as in FASTA), else by one dict lookup per cell; numpy ranks the ids
-    with an ``(S + 1) x w`` int32 table, one pass over the rows per
+    Cost: when every row is a ``str`` (one character per cell, as in FASTA), each row is
+    read as UTF-32 code points, a boolean array indexed by code point, up to the largest one
+    in the table, marks its ``S`` distinct values, and their running count gives each cell
+    its value's id, one row at a time; other rows take one dict lookup per cell.  numpy
+    ranks the ids with an ``(S + 1) x w`` int32 table, read and written one row at a time
+    through flat ``id * w + column`` indices, one pass over the rows per
     ``w = max(1, _RANK_CELLS // (S + 1))`` columns.
     """
     rows = list(raw_table)
@@ -171,36 +173,42 @@ def encode(
     n, J = len(rows), len(rows[0])
     if any(len(r) != J for r in rows):
         raise DataError("ragged rows: all rows must have the same length")
-    symbols = list(set().union(*map(set, rows)))
-    index = {s: i for i, s in enumerate(symbols)}
     if all(isinstance(r, str) for r in rows):
-        lut = np.zeros(max(map(ord, symbols)) + 1, dtype=np.int32)
-        lut[list(map(ord, symbols))] = np.arange(len(symbols))
         codes = np.empty((n, J), dtype=np.int32)
-        for r, out in zip(rows, codes):
-            np.take(lut, np.frombuffer(r.encode("utf-32-le", "surrogatepass"), "<u4"), out=out)
+        for r, out in zip(rows, codes):  # code points first, symbol ids below
+            out[:] = np.frombuffer(r.encode("utf-32-le", "surrogatepass"), "<u4")
+        present = np.zeros(int(codes.max()) + 1, dtype=bool)
+        present[codes] = True
+        symbols = list(map(chr, np.flatnonzero(present).tolist()))
+        lut = np.cumsum(present, dtype=np.int32) - 1  # id of each present code point
+        for row in codes:
+            np.take(lut, row, out=row)
     else:
+        symbols = list(set().union(*map(set, rows)))
+        index = {s: i for i, s in enumerate(symbols)}
         codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32, n * J).reshape(n, J)
     # rank[s, j]: code of symbol s in column j, -2 until s first appears there;
     # the gap's row (a spare last row when there is no gap) holds GAP_CODE
-    gap = len(symbols) if gap_symbol is None else index.get(gap_symbol, len(symbols))
+    gap = symbols.index(gap_symbol) if gap_symbol in symbols else len(symbols)
     cards = np.zeros(J, dtype=np.int64)
     labels: list[tuple[str, ...]] = []
     width = max(1, _RANK_CELLS // (len(symbols) + 1))
     for a in range(0, J, width):
-        cols = np.arange(min(width, J - a))
-        rank = np.full((len(symbols) + 1, cols.size), -2, dtype=np.int32)
+        w = min(width, J - a)
+        cols = np.arange(w)
+        rank = np.full((len(symbols) + 1, w), -2, dtype=np.int32)
         rank[gap] = GAP_CODE
+        flat = rank.reshape(-1)  # a view: writes through it reach rank
         for row in codes[:, a:a + width]:  # views: each row is recoded in place
-            r = rank[row, cols]
-            new = np.flatnonzero(r == -2)
-            r[new] = rank[row[new], new] = cards[new + a]
+            at = row * w + cols
+            np.take(flat, at, out=row)
+            new = np.flatnonzero(row == -2)
+            row[new] = flat[at[new]] = cards[new + a]
             cards[new + a] += 1
-            row[:] = r
         # each column's symbols in code order
         s, c = np.nonzero(rank >= 0)
         seq = map(symbols.__getitem__, s[np.lexsort((rank[s, c], c))].tolist())
-        labels += [tuple(islice(seq, k)) for k in cards[a:a + cols.size].tolist()]
+        labels += [tuple(islice(seq, k)) for k in cards[a:a + w].tolist()]
     if not cards.all():
         raise DataError(f"column {int(np.argmin(cards))} contains only gaps")
     gap_code = None if gap_symbol is None else GAP_CODE
@@ -256,18 +264,25 @@ def mismatch_counts(
     columns where ``a[i]`` and ``b[k]`` differ.  With ``gap`` set, columns
     where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
     the columns actually compared; without it ``compared`` is the column
-    count.  Both tables are bit-sliced over their joint value range and
-    compared 64 columns per word with popcount, in exact integer sums.  With
-    ``b is a`` each pair ``i <= k`` is counted once and mirrored.
+    count.  Both tables are bit-sliced over the joint range of non-gap values
+    (a gap at either end of the span takes no plane, as validity words mask
+    gap cells when there are any) and compared 64 columns per word with
+    popcount, in exact integer sums.  With ``b is a`` each pair ``i <= k`` is
+    counted once and mirrored.
     """
-    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
-    planes = max(1, (int(hi) - int(lo)).bit_length())
+    lo, hi = int(min(a.min(), b.min())), int(max(a.max(), b.max()))
+    if gap is not None:
+        lo, hi = lo + (lo == gap), hi - (hi == gap)
+    planes = max(1, hi - lo).bit_length()
     pa = bit_planes(a, lo, planes)
     pb = pa if b is a else bit_planes(b, lo, planes)
-    if gap is None:
-        return plane_mismatches(pa, pb)[0], a.shape[1]
-    va = bit_planes(a != gap, 0, 1)[0]
-    return plane_mismatches(pa, pb, va, va if b is a else bit_planes(b != gap, 0, 1)[0])
+    va = None if gap is None else a != gap
+    vb = va if va is None or b is a else b != gap
+    if va is None or (va.all() and vb.all()):
+        counts = plane_mismatches(pa, pb)[0]
+        return counts, a.shape[1] if va is None else np.full_like(counts, a.shape[1])
+    ma = bit_planes(va, 0, 1)[0]
+    return plane_mismatches(pa, pb, ma, ma if vb is va else bit_planes(vb, 0, 1)[0])
 
 
 def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatrix:
@@ -281,15 +296,12 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     """
     if x.n < 2:
         raise DataError("need at least two rows to form pairwise dissimilarities")
-    gap = x.gap_code if x.has_gaps else None
-    counts, compared = mismatch_counts(x.codes, x.codes, gap)
-    if gap is not None:
-        off = ~np.eye(x.n, dtype=bool)
-        if np.any(compared[off] == 0):
-            i, k = np.argwhere((compared == 0) & off)[0]
-            raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
-    # with every pair comparable no row is all gaps, so the diagonal of
-    # ``compared`` (a row's own non-gap count) is non-zero too
+    counts, compared = mismatch_counts(x.codes, x.codes, x.gap_code)
+    # a zero on the diagonal of ``compared`` (a row's own non-gap count) is an
+    # all-gap row, which shares no position with any other row either
+    if x.gap_code is not None and np.any(compared == 0):
+        i, k = np.argwhere((compared == 0) & ~np.eye(x.n, dtype=bool))[0]
+        raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
     values = counts / compared if normalized else counts.astype(np.float64)
     np.fill_diagonal(values, 0.0)
     return DissimilarityMatrix(values=values, kind="normalized" if normalized else "raw-count")

@@ -43,7 +43,7 @@ def read_categorical_csv(
     and truth columns are pulled out before encoding; truth labels are
     renumbered densely in order of first appearance.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -98,7 +98,7 @@ def read_fasta(path: str | Path) -> list[tuple[str, str]]:
     records: list[tuple[str, str]] = []
     name: str | None = None
     chunks: list[str] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line in handle:
             line = line.strip()
             if not line:

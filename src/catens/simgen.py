@@ -161,6 +161,8 @@ def gen_highdim(sd: SeqDesign, seed: int = 0, replicate: int = 0):
 
 def gen_noise(n: int, J: int, s: int, seed: int = 0, replicate: int = 0) -> CategoricalMatrix:
     """IID uniform table over an ``s``-symbol alphabet."""
+    if n < 1 or J < 1:
+        raise ValueError("noise table needs n >= 1 rows and J >= 1 columns")
     if s < 2:
         raise ValueError("alphabet size must be >= 2")
     codes = substream(seed, replicate).integers(0, s, size=(n, J), dtype=np.int32)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -28,6 +29,42 @@ def write_blocks_csv(path, rng, sizes=(8, 8), J=10, shuffle=False):
         truth = [truth[i] for i in order]
     path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
     return np.asarray(truth), order
+
+
+# two clusters of five aligned sequences with ``-`` and ``.`` gaps and
+# lower-case residues, wrapped over two lines each
+GAPPED_FASTA = """\
+>s0 sample 0
+ACGTTGTAaCTTACCT.-
+.-TCA-gATCgA
+>s1 sample 1
+ACGtT-cAACGTGGCTAG
+ACTTACGATCGA
+>s2 sample 2
+CCGTTGCGAAgTA.CTAG
+-CTTACTGTCGA
+>s3 sample 3
+ACgTT.TATcGTAGCTAG
+gC.TA.G.tCGA
+>s4 sample 4
+ACGTTGCaACGtAGCGAg
+gCTTaCGAT.GA
+>s5 sample 5
+TG.AACGT.GCAtC.A-C
+TG-CTGCTACcT
+>s6 sample 6
+TGCAACGTTgCAtC.ATC
+.GAATGCAAGCT
+>s7 sample 7
+TGCAACGTT.CAtGGaT.
+cCAGtGTt.gCT
+>s8 sample 8
+TGCCACGtTGCATGGACT
+CGAATGCTAGCT
+>s9 sample 9
+TTCAAC.TTGCCtAGTTC
+CAaATG.TA-C-
+"""
 
 
 class TestRunMethod:
@@ -224,6 +261,25 @@ class TestClusterCommand:
         rows = dpath.read_text().strip().splitlines()
         assert len(rows) == 8 and len(rows[0].split(",")) == 8
 
+    def test_gapped_fasta_outputs_are_pinned(self, tmp_path):
+        # SHA-256 of every file a gapped FASTA run writes: a change that
+        # moves any of these bytes must update the pins and say why
+        fasta = tmp_path / "aln.fasta"
+        fasta.write_text(GAPPED_FASTA, encoding="utf-8")
+        paths = {name: tmp_path / name for name in ("labels.csv", "tree.nwk", "d.csv")}
+        code = main([
+            "cluster", str(fasta), "--method", "ENAL", "--k", "2", "--normalize", "--seed", "5",
+            "--output", str(paths["labels.csv"]), "--newick", str(paths["tree.nwk"]),
+            "--save-dissimilarity", str(paths["d.csv"]),
+        ])
+        assert code == 0
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert digests == {
+            "labels.csv": "69f1d61d16458aa35e45106a714ecdf03b3d9f208a916b67e5332c9c98badbdc",
+            "tree.nwk": "62c693068aaa7ba2c12ec075181aa12c67726a8649c5429278a7f293bc3eaf79",
+            "d.csv": "12ef27b3df709409f1a41b54ce744ab22652b785e727e384ba71ecb0c2e24ea8",
+        }
+
 
 class TestExperimentCommand:
     def test_design_table(self, tmp_path, capsys):
@@ -413,7 +469,10 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_noise_spec_is_usage_error(self, tmp_path):
-        assert main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")]) == 1
+        # a table with no rows or no columns is a bad request, not bad data
+        for spec in ("6,4", "0,3,2", "3,0,2"):
+            assert main(["simulate", "--noise", spec, "--output", str(tmp_path / "x.csv")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 # which of the refusable flags each method reads

@@ -80,7 +80,7 @@ class TestEncode:
         # drops trailing NULs), as must "" and multi-character or non-ASCII
         # values, astral-plane ones included; a small cap on the working
         # table forces column blocks
-        pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "\U0001d538", "-"]
+        pool = ["a", "a\0", "\0", "", "ab", "é", "日本", "\U0001d538", "\U0010ffff", "-"]
         if one_char:  # tables of one-character values, so str rows often reach the code-point path
             pool = [v for v in pool if len(v) == 1]
         n, J = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
@@ -122,7 +122,7 @@ class TestEncode:
         # lookup; code points span one to four UTF-8 bytes, and a lone
         # surrogate is a valid str character
         rng = substream(8)
-        pool = ["A", "c", "\0", "é", "日", "\U0001d538", "\ud800", "-", "."]
+        pool = ["A", "c", "\0", "é", "日", "\U0001d538", "\U0010ffff", "\ud800", "-", "."]
         for n, J in [(1, 1), (3, 70), (9, 5)]:
             table = [["A"] * J] + [[pool[v] for v in row] for row in rng.integers(0, len(pool), size=(n - 1, J))]
             ids = [f"r{i}" for i in range(n)]
@@ -134,6 +134,34 @@ class TestEncode:
                 assert (got.labels, got.gap_code, got.gap_symbol, got.row_ids) == (
                     want.labels, want.gap_code, want.gap_symbol, want.row_ids
                 )
+
+    @pytest.mark.parametrize("cells", [1, 7, core._RANK_CELLS])
+    def test_symbols_first_seen_in_the_last_row(self, cells, monkeypatch):
+        # the symbol bitmap is sized from the largest code point of the whole
+        # table, so one first seen in the last row must still get an id
+        monkeypatch.setattr(core, "_RANK_CELLS", cells)
+        for gap in (None, "-", "\0"):
+            table = ["AC-A", "C-AA", "A\U0010ffffC\0"]
+            ids = ["r0", "r1", "r2"]
+            got, want = encode(table, gap_symbol=gap, row_ids=ids), naive_encode(table, gap_symbol=gap, row_ids=ids)
+            assert got.codes.tolist() == want.codes.tolist()
+            assert got.cardinalities.tolist() == want.cardinalities.tolist()
+            assert (got.labels, got.gap_code) == (want.labels, want.gap_code)
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_string_rows_in_column_blocks_match_oracle(self, cells, monkeypatch):
+        # a small cap on the rank table splits str rows into many column blocks
+        monkeypatch.setattr(core, "_RANK_CELLS", cells)
+        rng = substream(9)
+        pool = "ACGTacgt-.\0é\U0010ffff"
+        for n, J in [(1, 1), (4, 9), (12, 40)]:
+            table = ["".join(map(pool.__getitem__, row)) for row in rng.integers(0, len(pool), size=(n, J)).tolist()]
+            table[0] = "A" * J  # no all-gap column
+            for gap in (None, "-", "?"):
+                got, want = encode(table, gap_symbol=gap), naive_encode(table, gap_symbol=gap)
+                assert got.codes.tolist() == want.codes.tolist()
+                assert got.cardinalities.tolist() == want.cardinalities.tolist()
+                assert (got.labels, got.gap_code) == (want.labels, want.gap_code)
 
 
 class TestMismatchCounts:
@@ -156,6 +184,44 @@ class TestMismatchCounts:
         for n, m, j in [(6, 6, 8), (4, 7, 10), (3, 2, 1)]:
             a, b = rng.integers(-1, 3, size=(n, j)), rng.integers(-1, 3, size=(m, j))
             self.check(a, b, gap=-1)
+
+    def test_gap_below_above_and_between_the_values(self):
+        # the gap takes no bit plane when it lies at an end of the value
+        # span; the validity words still mask it wherever it lies
+        rng = substream(34)
+        big = np.iinfo(np.int64)
+        for gap, values in [
+            (-1, [0, 1, 2, 3, 4]), (5, [0, 1, 2, 3, 4]), (2, [0, 1, 3, 4]),
+            (big.min, [-2, 0, 5]), (big.max, [-2, 0, 5]),
+            (big.min, [big.min + 1, 0, big.max]), (big.max, [big.min, 0, big.max - 1]),
+            (0, [big.min, big.max]),
+        ]:
+            a = rng.choice(np.array([gap, *values], dtype=np.int64), size=(6, 70))
+            b = rng.choice(np.array([gap, *values], dtype=np.int64), size=(3, 70))
+            self.check(a, b, gap=gap)
+            self.check(a, a, gap=gap)
+
+    def test_pair_without_shared_values_and_all_gap_tables(self):
+        a = np.array([[-1, -1, 2, 3], [0, 1, -1, -1], [0, -1, 2, -1]])
+        self.check(a, a, gap=-1)  # rows 0 and 1 share no non-gap column
+        gaps = np.full((3, 5), 7)
+        self.check(gaps, gaps, gap=7)
+        self.check(gaps, a[:, :1].repeat(5, axis=1), gap=7)
+        self.check(a[:, :1].repeat(5, axis=1), gaps, gap=7)
+
+    def test_nucleotide_codes_with_gaps_take_two_planes(self, monkeypatch):
+        planes, bit_planes = [], core.bit_planes
+
+        def spy(x, lo, count):
+            if x.dtype != bool:  # validity masks are packed as one plane of their own
+                planes.append(count)
+            return bit_planes(x, lo, count)
+
+        monkeypatch.setattr(core, "bit_planes", spy)
+        a = substream(35).integers(-1, 4, size=(5, 100))
+        self.check(a, a, gap=-1)
+        self.check(a, a[::-1].copy(), gap=-1)
+        assert planes == [2, 2, 2]
 
     def test_row_blocks(self, monkeypatch):
         # a few elements per block forces many row blocks, including a short last one

@@ -41,6 +41,12 @@ class TestCsv:
         x, _ = catio.read_categorical_csv(path, header=True, id_column="id")
         assert x.row_ids == ("r1", "r2") and x.J == 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,v0\nr1,a\nr2,b\n", encoding="utf-8-sig")
+        x, _ = catio.read_categorical_csv(path, header=True, id_column="x")
+        assert x.row_ids == ("r1", "r2") and x.J == 1
+
     def test_truth_column_by_index(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,x,0\nb,y,1\n", encoding="utf-8")
@@ -142,6 +148,11 @@ class TestFasta:
         path.write_text(">a\nAC GT\n>b\nACGTT\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"\[4, 5\]"):
             catio.load_fasta_matrix(path)
+
+    def test_byte_order_mark_before_the_first_header(self, tmp_path):
+        path = tmp_path / "aln.fasta"
+        path.write_text(">a\nAC-T\n>b\nACGA\n", encoding="utf-8-sig")
+        assert catio.read_fasta(path) == [("a", "AC-T"), ("b", "ACGA")]
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "aln.fasta"

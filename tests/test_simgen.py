@@ -168,3 +168,8 @@ class TestGenNoise:
     def test_alphabet_too_small_rejected(self):
         with pytest.raises(ValueError):
             gen_noise(5, 5, 1)
+
+    @pytest.mark.parametrize("n, J", [(0, 3), (3, 0), (-1, 3)])
+    def test_empty_table_rejected(self, n, J):
+        with pytest.raises(ValueError, match="n >= 1 rows and J >= 1 columns"):
+            gen_noise(n, J, 2)
