@@ -16,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io as catio
 from .core import CategoricalMatrix, Clustering, DataError, hamming, relabel_dense
 from .ensemble import EnsembleConfig, ensemble_cluster
@@ -23,7 +25,9 @@ from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral
 from .kmodes import en_kmodes, kmodes
 from .metrics import classification_rate, format_results_table, replicate_summary
 from .rng import child_seed
-from .simgen import DESIGNS, SEQ_HIGH_NOISE, SEQ_LOW_NOISE, SeqDesign, gen_highdim, gen_lowdim, gen_noise
+from .simgen import (
+    DESIGNS, NUCLEOTIDES, SEQ_HIGH_NOISE, SEQ_LOW_NOISE, SeqDesign, gen_highdim, gen_lowdim, gen_noise,
+)
 from .subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 
 HC_METHODS = {"HCSL": "SL", "HCAL": "AL", "HCCL": "CL"}
@@ -209,14 +213,16 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble-size", type=int, default=25, metavar="B", dest="B",
-                   help="base clusterings per ensemble (default 25; EN methods, ENKM, WOR, WR)")
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="small-cluster deferral fraction (default 0; HC and EN methods, WOR, WR)")
+    default = MethodOptions()
+    p.add_argument("--ensemble-size", type=int, default=default.B, metavar="B", dest="B",
+                   help=f"base clusterings per ensemble (default {default.B}; EN methods, ENKM, WOR, WR)")
+    p.add_argument("--alpha", type=float, default=default.alpha,
+                   help=f"small-cluster deferral fraction (default {default.alpha:g}; HC and EN methods, WOR, WR)")
     p.add_argument("--blocks", type=int, metavar="M",
                    help="subspace count (WOR, WR; WR default 200, WOR default random lengths)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (default 0); allowed with every method, though HC methods draw none")
+    p.add_argument("--seed", type=int, default=default.seed,
+                   help=f"RNG seed (default {default.seed}); allowed with every method, "
+                        "though HC methods draw none")
     p.add_argument("--normalize", action="store_true",
                    help="divide mismatch counts by compared positions in HC methods and "
                         "--save-dissimilarity; allowed with every method, though ensemble "
@@ -374,13 +380,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError("--noise expects N,J,S integers") from None
         x, truth = gen_noise(n, j, s, seed=args.seed, replicate=args.replicate), None
-    if fasta:
-        catio.write_fasta(out, catio.matrix_to_fasta_records(x))
-        if args.truth_out:
-            ids = x.row_ids or tuple(str(i) for i in range(x.n))
-            catio.write_labels_csv(args.truth_out, ids, truth.labels)
-    else:
-        catio.write_categorical_csv(out, x, truth=truth, delimiter=args.delimiter)
+    # the generators' symbols: nucleotides for --seq-design, the code itself otherwise
+    table = (np.array(NUCLEOTIDES)[x.codes] if args.seq_design else x.codes.astype(str)).tolist()
+    if not fasta:
+        catio.write_categorical_csv(out, table, truth=truth, delimiter=args.delimiter)
+        return 0
+    if (bad := next((s for row in table for s in row if len(s) != 1), None)) is not None:
+        raise ValueError(f"FASTA needs one character per position, got the symbol {bad!r}")
+    ids = [str(i) for i in range(x.n)]
+    catio.write_fasta(out, list(zip(ids, map("".join, table))))
+    if args.truth_out:
+        catio.write_labels_csv(args.truth_out, ids, truth.labels)
     return 0
 
 

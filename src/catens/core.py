@@ -2,7 +2,9 @@
 
 A dataset is an ``n x J`` table of nominal codes (:class:`CategoricalMatrix`).
 Column alphabets are finite and per-column bounded; an optional reserved gap
-code marks alignment placeholders in pre-aligned sequence data.  Pairwise
+code marks alignment placeholders in pre-aligned sequence data.  Encoding is
+one-way: the codes keep no map back to the strings they came from, because
+every method reads codes only through equality.  Pairwise
 mismatch counting (:func:`mismatch_counts`, wrapped for data rows by
 :func:`hamming`) is the only notion of distance used anywhere in the
 package: plain counts, counts normalized by the number of compared
@@ -13,7 +15,7 @@ holds a gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -40,16 +42,13 @@ class CategoricalMatrix:
     """An ``n x J`` observation table of per-column integer codes.
 
     ``codes[i, j]`` is a code in ``[0, cardinalities[j])`` or, when
-    ``gap_code`` is set, the reserved gap value.  ``labels`` optionally maps
-    codes back to the original strings per column; ``row_ids`` optionally
+    ``gap_code`` is set, the reserved gap value.  ``row_ids`` optionally
     names the rows (e.g. FASTA record ids).
     """
 
     codes: np.ndarray
     cardinalities: np.ndarray
     gap_code: int | None = None
-    labels: tuple[tuple[str, ...], ...] | None = None
-    gap_symbol: str | None = None
     row_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -86,28 +85,12 @@ class CategoricalMatrix:
     def select_columns(self, indices: Sequence[int]) -> "CategoricalMatrix":
         """Restriction to the given columns, preserving metadata."""
         idx = np.asarray(indices, dtype=np.intp)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(map(self.labels.__getitem__, idx.tolist()))
         return CategoricalMatrix(
             codes=np.take(self.codes, idx, axis=1),  # C-ordered, unlike codes[:, idx]
             cardinalities=self.cardinalities[idx],
             gap_code=self.gap_code,
-            labels=labels,
-            gap_symbol=self.gap_symbol,
             row_ids=self.row_ids,
         )
-
-    def decode(self) -> list[list[str]]:
-        """Original string table; inverse of :func:`encode` when labels exist."""
-        gap_sym = self.gap_symbol if self.gap_symbol is not None else "-"
-
-        def symbol(j: int, c: int) -> str:
-            if self.gap_code is not None and c == self.gap_code:
-                return gap_sym
-            return self.labels[j][c] if self.labels is not None else str(c)
-
-        return [[symbol(j, int(c)) for j, c in enumerate(row)] for row in self.codes]
 
 
 @dataclass(frozen=True)
@@ -156,8 +139,9 @@ def encode(
 
     Codes are assigned in first-appearance order down each column; the gap
     symbol (when given) maps to the reserved gap code and is excluded from
-    the column alphabet.  The code-to-string maps are retained so the table
-    round-trips through :meth:`CategoricalMatrix.decode`.
+    the column alphabet.  No code-to-string map is kept: every method
+    compares codes only for equality, so no step after this one needs the
+    strings, and a caller that writes symbols maps its own codes.
 
     Cost: when every row is a ``str`` (one character per cell, as in FASTA), each row is
     read as UTF-32 code points, a boolean array indexed by code point, up to the largest one
@@ -179,24 +163,25 @@ def encode(
             out[:] = np.frombuffer(r.encode("utf-32-le", "surrogatepass"), "<u4")
         present = np.zeros(int(codes.max()) + 1, dtype=bool)
         present[codes] = True
-        symbols = list(map(chr, np.flatnonzero(present).tolist()))
         lut = np.cumsum(present, dtype=np.int32) - 1  # id of each present code point
         for row in codes:
             np.take(lut, row, out=row)
+        n_ids = int(lut[-1]) + 1
+        point = ord(gap_symbol) if gap_symbol is not None and len(gap_symbol) == 1 else present.size
+        gap = int(lut[point]) if point < present.size and present[point] else n_ids
     else:
-        symbols = list(set().union(*map(set, rows)))
-        index = {s: i for i, s in enumerate(symbols)}
+        index = {s: i for i, s in enumerate(set().union(*map(set, rows)))}
         codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32, n * J).reshape(n, J)
-    # rank[s, j]: code of symbol s in column j, -2 until s first appears there;
-    # the gap's row (a spare last row when there is no gap) holds GAP_CODE
-    gap = symbols.index(gap_symbol) if gap_symbol in symbols else len(symbols)
+        n_ids = len(index)
+        gap = index.get(gap_symbol, n_ids)
+    # rank[s, j]: code of symbol id s in column j, -2 until s first appears
+    # there; the gap's row (a spare last row when there is no gap) holds GAP_CODE
     cards = np.zeros(J, dtype=np.int64)
-    labels: list[tuple[str, ...]] = []
-    width = max(1, _RANK_CELLS // (len(symbols) + 1))
+    width = max(1, _RANK_CELLS // (n_ids + 1))
     for a in range(0, J, width):
         w = min(width, J - a)
         cols = np.arange(w)
-        rank = np.full((len(symbols) + 1, w), -2, dtype=np.int32)
+        rank = np.full((n_ids + 1, w), -2, dtype=np.int32)
         rank[gap] = GAP_CODE
         flat = rank.reshape(-1)  # a view: writes through it reach rank
         for row in codes[:, a:a + width]:  # views: each row is recoded in place
@@ -205,15 +190,11 @@ def encode(
             new = np.flatnonzero(row == -2)
             row[new] = flat[at[new]] = cards[new + a]
             cards[new + a] += 1
-        # each column's symbols in code order
-        s, c = np.nonzero(rank >= 0)
-        seq = map(symbols.__getitem__, s[np.lexsort((rank[s, c], c))].tolist())
-        labels += [tuple(islice(seq, k)) for k in cards[a:a + w].tolist()]
     if not cards.all():
         raise DataError(f"column {int(np.argmin(cards))} contains only gaps")
     gap_code = None if gap_symbol is None else GAP_CODE
-    return CategoricalMatrix(codes=codes, cardinalities=cards, gap_code=gap_code, labels=tuple(labels),
-                             gap_symbol=gap_symbol, row_ids=None if row_ids is None else tuple(row_ids))
+    return CategoricalMatrix(codes=codes, cardinalities=cards, gap_code=gap_code,
+                             row_ids=None if row_ids is None else tuple(row_ids))
 
 
 def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:

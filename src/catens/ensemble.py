@@ -5,6 +5,14 @@ from one dendrogram and stacked into an incidence matrix; the ensemble
 dissimilarity between two rows is the fraction of base clusterings that
 separate them.  Re-clustering that matrix with the same linkage gives the
 ensembled variants of single/average/complete linkage clustering.
+
+The base cuts of one dendrogram are nested: with ``t_ij`` the index
+(from 0) of the merge that first joins rows ``i`` and ``j``, the number of
+base cuts separating them is ``count_ij = #{b : k_b >= n - t_ij}``.  So at
+alpha = 0, when ``k_final`` is one of the drawn sizes, every pair inside a
+cluster of the base ``k_final`` cut has a smaller count than every pair
+across two of them, by at least one cut (1/B in dissimilarity), and ENxL
+returns HCxL's partition at ``k_final``.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ class EnsembleConfig:
 def size_range(n: int) -> tuple[int, int]:
     """The base clustering sizes ``(k_min, k_max) = (2, ceil(sqrt n))`` for ``n`` rows."""
     if n < 2:
-        raise ValueError(f"base clusterings need at least 2 rows, got {n}")
+        raise DataError(f"base clusterings need at least 2 rows, got {n}")
     return 2, math.ceil(math.sqrt(n))
 
 

@@ -76,20 +76,19 @@ def read_categorical_csv(
 
 def write_categorical_csv(
     path: str | Path,
-    x: CategoricalMatrix,
+    rows: Sequence[Sequence[str]],
     truth: Clustering | None = None,
     delimiter: str = ",",
 ) -> None:
-    """Export a table in the same shape the ingestion accepts, under a
-    header row ``v0, v1, ...`` (and ``truth`` when given)."""
-    decoded = x.decode()
-    names = [f"v{j}" for j in range(x.J)] + (["truth"] if truth is not None else [])
+    """Export a table of symbols in the same shape the ingestion accepts,
+    under a header row ``v0, v1, ...`` (and ``truth`` when given)."""
+    names = [f"v{j}" for j in range(len(rows[0]))] + (["truth"] if truth is not None else [])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(names)
-        for i, row in enumerate(decoded):
+        for i, row in enumerate(rows):
             if truth is not None:
-                row = row + [str(int(truth.labels[i]))]
+                row = [*row, str(int(truth.labels[i]))]
             writer.writerow(row)
 
 
@@ -150,14 +149,6 @@ def load_fasta_matrix(
     return encode(rows, gap_symbol=gap, row_ids=ids)
 
 
-def matrix_to_fasta_records(x: CategoricalMatrix) -> list[tuple[str, str]]:
-    ids = x.row_ids or tuple(str(i) for i in range(x.n))
-    rows = x.decode()
-    if (bad := next((s for row in rows for s in row if len(s) != 1), None)) is not None:
-        raise ValueError(f"FASTA needs one character per position, got the symbol {bad!r}")
-    return [(ids[i], "".join(row)) for i, row in enumerate(rows)]
-
-
 def write_labels_csv(target: str | Path | TextIO, ids: Sequence[str], labels: Sequence[int]) -> None:
     """Two-column (id, cluster) CSV, one row per input row in input order,
     written to a path or to an open text stream."""
@@ -199,4 +190,4 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))

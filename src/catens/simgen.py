@@ -132,8 +132,9 @@ def _draw_categorical(rng: np.random.Generator, probs, shape) -> np.ndarray:
     return np.searchsorted(cum, rng.random(size=shape), side="right").astype(np.int32)
 
 
-def gen_highdim(sd: SeqDesign, seed: int = 0, replicate: int = 0):
-    """One draw of the high-dimensional sequence simulator."""
+def gen_highdim(sd: SeqDesign, seed: int = 0, replicate: int = 0) -> tuple[CategoricalMatrix, Clustering]:
+    """One draw of the high-dimensional sequence simulator; code ``c`` stands
+    for the symbol ``NUCLEOTIDES[c]``."""
     widths = substream(seed, replicate).multinomial(sd.J, sd.block_probs)
     n = sd.n
     codes = np.empty((n, sd.J), dtype=np.int32)
@@ -150,13 +151,7 @@ def gen_highdim(sd: SeqDesign, seed: int = 0, replicate: int = 0):
             r0, r1 = row_starts[b], row_starts[b + 1]
             block[r0:r1] = _draw_categorical(rng, SIGNAL_DIST, (r1 - r0, w))
         codes[:, lo:hi] = block
-    labels = tuple(tuple(NUCLEOTIDES) for _ in range(sd.J))
-    x = CategoricalMatrix(
-        codes=codes,
-        cardinalities=np.full(sd.J, 4, dtype=np.int64),
-        labels=labels,
-    )
-    return x, _truth(sd.sizes)
+    return CategoricalMatrix(codes=codes, cardinalities=np.full(sd.J, 4, dtype=np.int64)), _truth(sd.sizes)
 
 
 def gen_noise(n: int, J: int, s: int, seed: int = 0, replicate: int = 0) -> CategoricalMatrix:

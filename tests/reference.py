@@ -197,7 +197,6 @@ def naive_encode(raw_table, gap_symbol=None, row_ids=None) -> CategoricalMatrix:
         raise DataError("ragged rows: all rows must have the same length")
     codes = np.empty((n, J), dtype=np.int32)
     cards = np.empty(J, dtype=np.int64)
-    labels: list[tuple[str, ...]] = []
     for j in range(J):
         seen: dict[str, int] = {}
         for i in range(n):
@@ -211,13 +210,10 @@ def naive_encode(raw_table, gap_symbol=None, row_ids=None) -> CategoricalMatrix:
         if not seen:
             raise DataError(f"column {j} contains only gaps")
         cards[j] = len(seen)
-        labels.append(tuple(seen))
     return CategoricalMatrix(
         codes=codes,
         cardinalities=cards,
         gap_code=GAP_CODE if gap_symbol is not None else None,
-        labels=tuple(labels),
-        gap_symbol=gap_symbol,
         row_ids=tuple(row_ids) if row_ids is not None else None,
     )
 

@@ -212,6 +212,13 @@ class TestClusterCommand:
             main(["cluster", str(data), "--method", "HCAL", "--k", "2", "--delimiter", ";;"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("method", ["HCAL", "ENAL", "ENKM", "WR", "WOR"])
+    def test_one_row_is_data_error(self, tmp_path, method, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("a,b,c\n", encoding="utf-8")
+        assert main(["cluster", str(one), "--method", method, "--k", "1"]) == 2
+        assert "data error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["WOR", "WR"])
     def test_zero_blocks_is_usage_error(self, tmp_path, method):
         data = tmp_path / "blocks.csv"
@@ -429,6 +436,33 @@ class TestSimulateCommand:
         x, _ = catio.read_categorical_csv(out, header=True)
         assert x.n == 6 and x.J == 4
 
+    @pytest.mark.parametrize(
+        "source, written",
+        [
+            (["--design", "D11", "--seed", "4"], {
+                "sim.csv": "8af7b156a9877401904d8c80cc2743243e90b0b8a0d20a4c799abb3c21e32447",
+            }),
+            (["--seq-design", "low-noise", "--seq-j", "200", "--seed", "5"], {
+                "sim.csv": "82046947fcd69f23d8a360de5eb1a259fc37ffd97fa7e471de57fc92a30d6f33",
+            }),
+            (["--seq-design", "low-noise", "--seq-j", "200", "--seed", "5"], {
+                "sim.fasta": "e6435f7322119511336afebfed58a27ade4d7b79c252662f20091cc80467f75d",
+                "truth.csv": "96de8a0cef057ab3b550083b4fc17e210c488c60ab5004d0c877ba07b080c585",
+            }),
+            (["--noise", "6,4,3", "--seed", "6"], {
+                "sim.csv": "ead95f96dccabf2fa8b1469cfe35b146f79e50d2b7d5cc325a1cb671816be0dc",
+            }),
+        ],
+        ids=["design-csv", "seq-csv", "seq-fasta", "noise-csv"],
+    )
+    def test_outputs_are_pinned(self, tmp_path, source, written):
+        # SHA-256 of every file simulate writes: a change that moves any of
+        # these bytes must update the pins and say why
+        output, *truth = written
+        argv = ["simulate", *source, "--output", str(tmp_path / output)]
+        assert main(argv + [arg for name in truth for arg in ("--truth-out", str(tmp_path / name))]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written} == written
+
     def test_seq_flags_need_seq_design(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--design", "D1", "--seq-j", "5", "--output", str(out)]) == 1
@@ -527,6 +561,15 @@ class TestConfigFile:
         out = tmp_path / "labels.csv"
         code = main(["cluster", str(data), "--config", str(cfg), "--output", str(out)])
         assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 17
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        data = tmp_path / "blocks.csv"
+        write_blocks_csv(data, substream(77))
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("method=HCAL\n", encoding="utf-8-sig")
+        out = tmp_path / "labels.csv"
+        assert main(["cluster", str(data), "--k", "1", "--config", str(cfg), "--output", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 17
 
     def test_config_equals_form(self, tmp_path):

@@ -201,6 +201,22 @@ class TestEnsembleCluster:
         b, _ = ensemble_cluster(hamming(x, normalized=True), cfg, 2)
         assert np.array_equal(a.labels, b.labels)
 
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(4, 59), st.integers(1, 29),
+        st.sampled_from([3, 10, 1000]), st.sampled_from(["SL", "AL", "CL"]), st.integers(0, 28),
+    )
+    def test_drawn_size_gives_the_base_partition(self, seed, n, B, den, linkage, pick):
+        # nested base cuts: at alpha = 0 and a drawn k_final every within-cluster
+        # count is below every between-cluster one, so ENxL equals HCxL (see the
+        # ensemble module docstring); entries j/den make many exact ties
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, den + 1, (n, n)) / den, 1)
+        d = matrix(upper + upper.T)
+        cfg = EnsembleConfig(B=B, linkage=linkage, seed=seed)
+        k = int(draw_sizes(cfg, n)[pick % B])
+        labels, _ = ensemble_cluster(d, cfg, k)
+        assert labels.labels.tolist() == cut(agglomerate(d, linkage), k).labels.tolist()
+
     def test_parallel_column_schedule_irrelevant(self):
         # the incidence matrix is a pure function of (d, sizes, linkage), so
         # computing columns in any order gives identical results
