@@ -201,11 +201,16 @@ def bit_planes(x: np.ndarray, lo: int, planes: int) -> np.ndarray:
     """``planes x n x words`` uint64 array: plane ``p`` holds bit ``p`` of
     ``x - lo``, 64 columns per word, with the padding bits zero.  ``x - lo`` wraps
     in the narrowest unsigned type of ``planes`` bits (one unsafe cast, no int64
-    copy), so it is exact whenever ``hi - lo`` fits."""
+    copy), so it is exact whenever ``hi - lo`` fits.  One ``n x J`` buffer masks one plane
+    at a time for ``packbits``, which takes non-zero as 1: fresh ``planes x n x J``
+    temporaries cost more in page faults than in arithmetic."""
     off = np.subtract(x, np.int64(lo), dtype=np.min_scalar_type((1 << planes) - 1), casting="unsafe")
-    bits = np.zeros((planes, off.shape[0], -(-off.shape[1] // 64) * 64), dtype=off.dtype)
-    bits[..., : off.shape[1]] = (off >> np.arange(planes, dtype=off.dtype)[:, None, None]) & 1
-    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    out = np.zeros((planes, off.shape[0], -(-off.shape[1] // 64) * 8), dtype=np.uint8)
+    buf = np.empty_like(off)
+    for p in range(planes):
+        np.bitwise_and(off, off.dtype.type(1 << p), out=buf)
+        out[p, :, : -(-off.shape[1] // 8)] = np.packbits(buf, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def plane_mismatches(

@@ -1,22 +1,28 @@
 """K-modes baseline and its evidence-accumulation ensemble (EN-KM).
 
-K-modes alternates nearest-mode assignment under the Hamming distance with
-recomputation of each mode as the most frequent code per column among
-members, counted in one ``k x J x span`` int64 table.  Ties are
-deterministic: assignment prefers the lowest cluster index, mode updates
-prefer the smallest code, and empty clusters are reseeded from the point
-farthest from its current mode among points whose cluster keeps another member.
+K-modes alternates nearest-mode assignment under the Hamming distance with recomputation
+of each mode as the most frequent code per column among members.  Ties are deterministic:
+assignment prefers the lowest cluster index, mode updates prefer the smallest code, and
+empty clusters are reseeded from the point farthest from its current mode among points
+whose cluster keeps another member.  Runs go in lockstep, :func:`kmodes` as a batch of one
+and :func:`en_kmodes` with all ``B``: each iteration packs the modes of the active runs
+once and updates them with one ``bincount``.  A run leaves the active set at its own label
+fixpoint (or ``max_iter``), so ``n_iter`` is counted per run and every run ends as it
+would alone.  A group of runs keeps its update's indices and counts within ``_BLOCK_ELEMS``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, bit_planes, plane_mismatches
+from .core import _BLOCK_ELEMS, CategoricalMatrix, Clustering, DataError, bit_planes, plane_mismatches
 from .ensemble import EnsembleConfig, IncidenceMatrix, draw_sizes, recluster
 from .rng import substream
+
+_MAX_ITER = 100  # iteration cap of every k-modes run
 
 
 @dataclass(frozen=True)
@@ -29,26 +35,73 @@ class KModesState:
     n_iter: int
 
 
-def _assign(packed: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ``packed`` is bit_planes(codes, 0, planes); only the k modes are packed here
-    dist, _ = plane_mismatches(packed, bit_planes(modes, 0, packed.shape[0]))
-    labels = dist.argmin(axis=1)
-    return labels, dist[np.arange(packed.shape[1]), labels]
+def _check(x: CategoricalMatrix, k: int) -> None:
+    if x.has_gaps:
+        raise DataError("k-modes requires gap-free data")
+    if not 1 <= k <= x.n:
+        raise ValueError(f"cluster count must lie in [1, {x.n}], got {k}")
 
 
-def _update_modes(codes: np.ndarray, labels: np.ndarray, k: int, span: int) -> np.ndarray:
-    # one table of k * J * span int64 counts (12.8 MB at k = 8, J = 50,000, span 4)
+def _assign(
+    codes: np.ndarray, packed: np.ndarray, modes: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # ``packed`` is bit_planes(codes, 0, planes).  Each run takes the first least of its k modes,
+    # then reseeds its empty clusters: only a row whose cluster keeps another member moves; while
+    # a cluster is empty the other k - 1 hold all n >= k rows, so one of them holds two
+    first = np.cumsum(ks) - ks
+    dist = plane_mismatches(packed, bit_planes(modes, 0, packed.shape[0]))[0].T
+    least = np.minimum.reduceat(dist, first)
+    at = np.where(dist == np.repeat(least, ks, axis=0), np.arange(len(dist))[:, None], len(dist))
+    labels = np.minimum.reduceat(at, first)
+    sizes = np.bincount(labels.ravel(), minlength=len(modes))  # labels number clusters across runs
+    for c in np.flatnonzero(sizes == 0):
+        b = np.searchsorted(first, c, side="right") - 1  # the run that owns cluster c
+        lab, d = labels[b], least[b]
+        far = int(np.argmax(np.where(sizes[lab] > 1, d, -1)))
+        sizes[lab[far]] -= 1  # c's own count stays 0: a lone member never moves anyway
+        lab[far] = c
+        modes[c] = codes[far]
+        d[far] = 0
+    return labels - first[:, None], least
+
+
+def _update_modes(codes: np.ndarray, labels: np.ndarray, ks: np.ndarray, span: int) -> np.ndarray:
+    # one table of sum(k) * J * span int64 counts; run b's clusters start at first[b]
     J = codes.shape[1]
-    flat = (labels[:, None] * J + np.arange(J)) * span + codes
-    counts = np.bincount(flat.ravel(), minlength=k * J * span).reshape(k, J, span)
+    first = np.cumsum(ks) - ks
+    flat = ((labels + first[:, None])[:, :, None] * J + np.arange(J)) * span
+    flat += codes  # in place: numpy makes a fresh temporary for a broadcast operand
+    counts = np.bincount(flat.ravel(), minlength=int(ks.sum()) * J * span).reshape(-1, J, span)
     return counts.argmax(axis=2).astype(codes.dtype)
+
+
+def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list, max_iter: int) -> Iterator[KModesState]:
+    codes, span, ks = x.codes, int(x.cardinalities.max()), np.asarray(ks, dtype=np.int64)
+    packed = bit_planes(codes, 0, max(1, (span - 1).bit_length()))
+    # a group's update indices (n x J per run) and counts (k x J x span) stay within _BLOCK_ELEMS
+    group = max(1, _BLOCK_ELEMS // (x.J * max(x.n, int(ks.max()) * span)))
+    for g in range(0, len(ks), group):
+        k, it, old = ks[g:g + group], 0, -1  # no label equals -1
+        ids, states = np.arange(len(k)), [None] * len(k)
+        modes = np.concatenate([codes[r.choice(x.n, size=c, replace=False)] for r, c in zip(rngs[g:], k)])
+        while True:
+            labels, dist = _assign(codes, packed, modes, k)
+            done = (labels == old).all(axis=1) | (it == max_iter)
+            end = np.cumsum(k)
+            for i in np.flatnonzero(done):
+                states[ids[i]] = KModesState(modes[end[i] - k[i]:end[i]], labels[i], int(dist[i].sum()), it)
+            if done.all():
+                break
+            ids, k, old, it = ids[~done], k[~done], labels[~done], it + 1
+            modes = _update_modes(codes, old, k, span)
+        yield from states
 
 
 def kmodes(
     x: CategoricalMatrix,
     k: int,
     seed: int | np.random.Generator = 0,
-    max_iter: int = 100,
+    max_iter: int = _MAX_ITER,
 ) -> KModesState:
     """K-modes with random initial modes drawn from the observations.
 
@@ -56,42 +109,8 @@ def kmodes(
     (total Hamming distance of points to their assigned modes) never
     increases across iterations.
     """
-    if x.has_gaps:
-        raise DataError("k-modes requires gap-free data")
-    if not 1 <= k <= x.n:
-        raise ValueError(f"cluster count must lie in [1, {x.n}], got {k}")
-    rng = substream(seed)
-    codes = x.codes
-    span = int(x.cardinalities.max())
-    packed = bit_planes(codes, 0, max(1, (span - 1).bit_length()))
-    modes = codes[rng.choice(x.n, size=k, replace=False)].copy()
-    labels, dist = _assign(packed, modes)
-    _repair_empty(codes, modes, labels, dist, k)
-    it = 0
-    for it in range(1, max_iter + 1):
-        modes = _update_modes(codes, labels, k, span)
-        old = labels
-        labels, dist = _assign(packed, modes)
-        _repair_empty(codes, modes, labels, dist, k)
-        if np.array_equal(labels, old):
-            break
-    # dist[i] is row i's mismatch count to its assigned mode (0 for a reseeded row)
-    return KModesState(modes=modes, labels=labels, cost=int(dist.sum()), n_iter=it)
-
-
-def _repair_empty(
-    codes: np.ndarray, modes: np.ndarray, labels: np.ndarray, dist: np.ndarray, k: int
-) -> None:
-    # only a row whose cluster keeps another member moves; while a cluster is
-    # empty the other k - 1 hold all n >= k rows, so one of them holds two
-    sizes = np.bincount(labels, minlength=k)
-    for c in np.flatnonzero(sizes == 0):
-        far = int(np.argmax(np.where(sizes[labels] > 1, dist, -1)))
-        sizes[labels[far]] -= 1
-        sizes[c] += 1
-        labels[far] = c
-        modes[c] = codes[far]
-        dist[far] = 0
+    _check(x, k)
+    return next(_runs(x, [k], [substream(seed)], max_iter))
 
 
 def en_kmodes(
@@ -105,8 +124,9 @@ def en_kmodes(
     Run sizes follow ``DUnif[2, ceil(sqrt(n))]`` and each run gets a fresh
     random initialization; the runs' raw labels form the incidence matrix
     (only equality within a run matters), whose ensemble dissimilarity is
-    re-clustered under average linkage and cut at ``k_final``.
+    re-clustered under average linkage and cut at ``k_final``, checked before any run.
     """
+    _check(x, k_final)
     sizes = draw_sizes(EnsembleConfig(B=B, seed=seed), x.n)
-    runs = [kmodes(x, int(k_b), seed=substream(seed, b)).labels for b, k_b in enumerate(sizes)]
-    return recluster(IncidenceMatrix(np.stack(runs, axis=1)), "AL", k_final)[0]
+    runs = _runs(x, sizes, [substream(seed, b) for b in range(B)], _MAX_ITER)
+    return recluster(IncidenceMatrix(np.stack([r.labels for r in runs], axis=1)), "AL", k_final)[0]

@@ -9,12 +9,14 @@ enumerates the whole sample space.  The Newick oracle walks the tree
 top-down with an explicit stack.  The one-``argmin``-per-merge agglomeration
 loop is kept as the exact-merge oracle of the lower-bound search.  The k-modes
 mode update and the α-deferral of small clusters keep their loops: one
-``bincount`` per cluster and one mean per deferred point and survivor.
+``bincount`` per cluster and one mean per deferred point and survivor.  One
+k-modes run is a plain loop over rows, modes and columns.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -266,6 +268,45 @@ def per_cluster_modes(codes: np.ndarray, labels: np.ndarray, k: int, span: int) 
         counts = np.bincount(flat, minlength=J * span).reshape(J, span)
         modes[c] = counts.argmax(axis=1)
     return modes
+
+
+def naive_kmodes(codes, k: int, rng: np.random.Generator, max_iter: int):
+    """One k-modes run as plain loops: ``(labels, modes, cost, n_iter)``.
+
+    The initial modes are the rows ``rng.choice(n, size=k, replace=False)``.  Each row
+    goes to its nearest mode, the lowest index on a tie.  Then each empty cluster,
+    lowest index first, takes the row farthest from its mode among rows whose cluster
+    has another member (the first such row on a tie), as its only member and its mode.
+    Each update makes a mode each column's most frequent member code, the smallest on
+    a tie.  The run stops when an update leaves the labels unchanged or after
+    ``max_iter`` updates.
+    """
+    rows = np.asarray(codes).tolist()
+    n = len(rows)
+    modes = [list(rows[i]) for i in rng.choice(n, size=k, replace=False)]
+
+    def assign():
+        dists = [[sum(a != b for a, b in zip(row, m)) for m in modes] for row in rows]
+        labels = [min(range(k), key=lambda c: (d[c], c)) for d in dists]
+        dist = [d[c] for d, c in zip(dists, labels)]
+        for c in range(k):
+            if c not in labels:
+                sizes = Counter(labels)
+                far = max((i for i in range(n) if sizes[labels[i]] > 1), key=lambda i: (dist[i], -i))
+                labels[far], modes[c], dist[far] = c, list(rows[far]), 0
+        return labels, dist
+
+    labels, dist = assign()
+    it = 0
+    for it in range(1, max_iter + 1):
+        for c in range(k):
+            members = [rows[i] for i in range(n) if labels[i] == c]
+            modes[c] = [min(set(col), key=lambda v: (-col.count(v), v)) for col in zip(*members)]
+        old = labels
+        labels, dist = assign()
+        if labels == old:
+            break
+    return labels, modes, sum(dist), it
 
 
 def per_point_deferral(tree: Dendrogram, k: int, alpha: float) -> Clustering:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import re
 
 import numpy as np
@@ -218,6 +219,28 @@ class TestClusterCommand:
         one.write_text("a,b,c\n", encoding="utf-8")
         assert main(["cluster", str(one), "--method", method, "--k", "1"]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, k, code, message",
+        [
+            ("a,b\nb,a\na,a\n", "5", 1, "cluster count must lie in [1, 3], got 5"),
+            ("a,b\n-,a\na,a\n", "2", 2, "k-modes requires gap-free data"),
+        ],
+    )
+    def test_enkm_checks_input_as_kmodes_before_any_run(
+        self, tmp_path, monkeypatch, capsys, rows, k, code, message
+    ):
+        data = tmp_path / "three_rows.csv"
+        data.write_text(rows, encoding="utf-8")
+        runs = []
+        monkeypatch.setattr(importlib.import_module("catens.kmodes"), "_runs", lambda *a: runs.append(a))
+        errors = []
+        for method in ("KMODES", "ENKM"):
+            argv = ["cluster", str(data), "--method", method, "--k", k, "--gap-symbol", "-"]
+            assert main(argv) == code
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and message in errors[0]
+        assert runs == []
 
     @pytest.mark.parametrize("method", ["WOR", "WR"])
     def test_zero_blocks_is_usage_error(self, tmp_path, method):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,38 @@ class TestEncode:
                 assert got.codes.tolist() == want.codes.tolist()
                 assert got.cardinalities.tolist() == want.cardinalities.tolist()
                 assert got.gap_code == want.gap_code
+
+
+class TestBitPlanes:
+    @given(
+        st.data(),
+        st.sampled_from([1, 2, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64]),
+        st.sampled_from([1, 63, 64, 65, 130]),
+    )
+    def test_plane_p_holds_bit_p_of_the_offset(self, data, planes, J):
+        # the plane counts straddle the uint8, uint16, uint32 and uint64 offset
+        # types; x - lo wraps modulo 2**64 as Python's infinite two's complement does
+        n = data.draw(st.integers(1, 3))
+        x = data.draw(arrays(np.int64, (n, J), elements=st.integers(-2**63, 2**63 - 1)))
+        lo = data.draw(st.integers(-2**63, 2**63 - 1))
+        bits = np.unpackbits(core.bit_planes(x, lo, planes).view(np.uint8), axis=2, bitorder="little")
+        assert bits.shape == (planes, n, -(-J // 64) * 64)
+        want = [[[(v - lo) >> p & 1 for v in row] for row in x.tolist()] for p in range(planes)]
+        assert bits[..., :J].tolist() == want
+        assert not bits[..., J:].any()
+
+    def test_packing_peak_stays_near_two_tables(self):
+        # one n x J table of offsets and one mask buffer reused plane after plane,
+        # besides the output and packbits' one-plane result; a fill of all planes at
+        # once takes about three times as much
+        codes = substream(36).integers(0, 4, size=(50, 31_646)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            packed = core.bit_planes(codes, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 50 * packed.shape[2] * 64 + 2 * packed.nbytes
 
 
 class TestMismatchCounts:

@@ -1,3 +1,7 @@
+import importlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from catens.core import CategoricalMatrix, DataError, encode, relabel_dense
-from catens.kmodes import _update_modes, en_kmodes, kmodes
+from catens.kmodes import _runs, _update_modes, en_kmodes, kmodes
 from catens.metrics import classification_rate
 from catens.rng import substream
 
-from .reference import per_cluster_modes
+from .reference import naive_kmodes, per_cluster_modes
 from .test_ensemble import two_block_table
 
 
@@ -96,13 +100,33 @@ class TestModeUpdate:
     @given(st.data())
     def test_count_table_matches_per_cluster_oracle(self, data):
         # few codes and few rows per cluster: ties are common, and labels
-        # drawn from 0..k-1 leave some clusters empty
-        n, J, span, k = (data.draw(st.integers(1, hi)) for hi in (30, 8, 4, 8))
+        # drawn from 0..k-1 leave some clusters empty; several runs share one table
+        n, J, span = (data.draw(st.integers(1, hi)) for hi in (30, 8, 4))
+        ks = np.array(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
         codes = data.draw(arrays(np.int32, (n, J), elements=st.integers(0, span - 1)))
-        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
-        got = _update_modes(codes, labels, k, span)
+        labels = np.stack([data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1))) for k in ks])
+        got = _update_modes(codes, labels, ks, span)
+        want = np.concatenate([per_cluster_modes(codes, lab, k, span) for lab, k in zip(labels, ks)])
         assert got.dtype == codes.dtype
-        assert got.tolist() == per_cluster_modes(codes, labels, k, span).tolist()
+        assert got.tolist() == want.tolist()
+
+
+class TestLockstep:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 3, 100]), st.sampled_from([1, 2**17]))
+    def test_batched_runs_match_one_run_oracle(self, seed, max_iter, cap):
+        # tie-heavy tables from a seeded stream (few rows, columns and codes);
+        # half the runs take k within 2 of n, which forces reseeds.  A cap of
+        # one cell puts every run in a group of its own.
+        rng = substream(seed)
+        n, J, card, B = (int(rng.integers(1, hi)) for hi in (13, 7, 4, 7))
+        x = CategoricalMatrix(rng.integers(0, card, size=(n, J), dtype=np.int32), np.full(J, card))
+        ks = np.where(rng.random(B) < 0.5, n - rng.integers(0, min(n, 3), B), rng.integers(1, n + 1, B))
+        with mock.patch.object(importlib.import_module("catens.kmodes"), "_BLOCK_ELEMS", cap):
+            states = list(_runs(x, ks, [substream(seed, b) for b in range(B)], max_iter))
+        single = kmodes(x, int(ks[0]), seed=substream(seed, 0), max_iter=max_iter)
+        want = [naive_kmodes(x.codes, int(k), substream(seed, b), max_iter) for b, k in enumerate(ks)]
+        got = [(s.labels.tolist(), s.modes.tolist(), s.cost, s.n_iter) for s in [*states, single]]
+        assert got == [*want, want[0]]
 
 
 class TestEnKModes:
@@ -116,6 +140,22 @@ class TestEnKModes:
         # own size recovers that run's grouping
         if single.K == 3:
             assert classification_rate(ensembled, single) == 1.0
+
+    def test_wide_table_peaks_at_one_run(self):
+        # in one batch the runs' update indices alone would take B x n x J int64
+        # cells, 160 MB here; groups keep the peak at that of one run
+        x = random_table(substream(49), 40, 20_000)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_run = peak(lambda: kmodes(x, int(np.ceil(np.sqrt(x.n))), seed=1))
+        assert peak(lambda: en_kmodes(x, 3, B=25, seed=1)) < one_run + 2**21
 
     def test_separated_blocks_recovered(self):
         x = two_block_table(sizes=(5, 5), J=6)
