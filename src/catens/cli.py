@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -159,6 +158,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, dict[str, tuple[float, flo
     the same table.
     """
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never imports it
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             per_rep = list(pool.map(_replicate_rates, [spec] * spec.replicates, range(spec.replicates)))
     else:

@@ -42,8 +42,8 @@ class CategoricalMatrix:
     """An ``n x J`` observation table of per-column integer codes.
 
     ``codes[i, j]`` is a code in ``[0, cardinalities[j])`` or, when
-    ``gap_code`` is set, the reserved gap value.  ``row_ids`` optionally
-    names the rows (e.g. FASTA record ids).
+    ``gap_code`` is set (to ``GAP_CODE``, the only value allowed), the gap.
+    ``row_ids`` optionally names the rows (e.g. FASTA record ids).
     """
 
     codes: np.ndarray
@@ -60,10 +60,10 @@ class CategoricalMatrix:
             raise DataError("one cardinality per column required")
         if np.any(cards < 1):
             raise DataError("column cardinalities must be >= 1")
-        valid = (codes >= 0) & (codes < cards[None, :])
-        if self.gap_code is not None:
-            valid |= codes == self.gap_code
-        if not np.all(valid):
+        if self.gap_code not in (None, GAP_CODE):
+            raise DataError(f"the gap code must be None or {GAP_CODE}, got {self.gap_code}")
+        # GAP_CODE is the one value below 0, so two reductions bound every code
+        if codes.min() < (0 if self.gap_code is None else GAP_CODE) or np.any(codes.max(axis=0) >= cards):
             raise DataError("non-gap codes must lie in [0, cardinality) for every column")
         if self.row_ids is not None and len(self.row_ids) != codes.shape[0]:
             raise DataError("one row id per row required")

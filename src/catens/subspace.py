@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stirling2
 
 from .core import CategoricalMatrix, Clustering, DataError
 from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster, size_range
@@ -108,18 +107,17 @@ def distinct_count_pmf(J: int) -> np.ndarray:
     """Distribution of the number of distinct values in ``J`` draws with
     replacement from ``J`` objects, as a vector over ``k = 1..J``.
 
-    Exact for every ``J``: ``P(k) = C(J, k) k! S(J, k) / J^J``, with the
-    surjection counts from Stirling numbers of the second kind ``S(J, k)``
-    in integer arithmetic, divided once per ``k``.
+    Exact for every ``J``: ``P(k) = C(J, k) T(J, k) / J^J``, with the surjection
+    counts ``T(m, k) = k (T(m-1, k) + T(m-1, k-1))`` from ``T(0, 0) = 1`` built
+    in integer arithmetic and divided once per ``k``.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
+    surj = [1] + [0] * J
+    for _ in range(J):
+        surj = [0] + [k * (surj[k] + surj[k - 1]) for k in range(1, J + 1)]
     total = J**J
-    probs = [
-        math.comb(J, k) * math.factorial(k) * stirling2(J, k, exact=True) / total
-        for k in range(1, J + 1)
-    ]
-    return np.array(probs, dtype=np.float64)
+    return np.array([math.comb(J, k) * surj[k] / total for k in range(1, J + 1)], dtype=np.float64)
 
 
 def subspace_ensemble(

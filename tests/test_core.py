@@ -391,6 +391,43 @@ class TestHamming:
             assert np.array_equal(hamming(x, normalized).values, hamming(y, normalized).values)
 
 
+class TestCategoricalMatrixValidation:
+    CARDS = np.array([2, 3, 1])
+
+    def test_valid_tables(self):
+        codes = np.array([[1, 2, 0], [0, 0, 0]])
+        assert CategoricalMatrix(codes, self.CARDS).J == 3
+        gapped = np.array([[GAP_CODE, 2, 0], [0, GAP_CODE, 0]])
+        assert CategoricalMatrix(gapped, self.CARDS, gap_code=GAP_CODE).has_gaps
+
+    @pytest.mark.parametrize("codes, gap_code", [
+        ([[-1, 0, 0]], None),  # negative code, no gap code
+        ([[0, 0, -2]], GAP_CODE),  # below the gap code
+        ([[0, 3, 0]], None),  # equal to its column's cardinality
+        ([[1, 0, 1]], GAP_CODE),  # within another column's cardinality, not its own
+    ])
+    def test_code_out_of_range_rejected(self, codes, gap_code):
+        with pytest.raises(DataError, match=r"non-gap codes must lie in \[0, cardinality\)"):
+            CategoricalMatrix(np.array(codes), self.CARDS, gap_code=gap_code)
+
+    @pytest.mark.parametrize("gap_code", [7, 0, -2])
+    def test_gap_code_other_than_gap_code_constant_rejected(self, gap_code):
+        with pytest.raises(DataError, match="gap code must be None or -1"):
+            CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), self.CARDS, gap_code=gap_code)
+
+    def test_shape_cardinality_and_row_id_checks(self):
+        with pytest.raises(DataError, match="non-empty 2-D array"):
+            CategoricalMatrix(np.zeros(3, dtype=np.int32), self.CARDS)
+        with pytest.raises(DataError, match="non-empty 2-D array"):
+            CategoricalMatrix(np.zeros((0, 3), dtype=np.int32), self.CARDS)
+        with pytest.raises(DataError, match="one cardinality per column"):
+            CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), self.CARDS[:2])
+        with pytest.raises(DataError, match="cardinalities must be >= 1"):
+            CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), np.array([2, 0, 1]))
+        with pytest.raises(DataError, match="one row id per row"):
+            CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), self.CARDS, row_ids=("a",))
+
+
 class TestDissimilarityMatrix:
     def test_requires_symmetry(self):
         with pytest.raises(DataError):

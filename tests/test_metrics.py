@@ -7,6 +7,7 @@ from catens.metrics import (
     confusion,
     format_cell,
     format_results_table,
+    max_matching,
     replicate_summary,
 )
 from catens.rng import substream
@@ -38,9 +39,7 @@ class TestClassificationRate:
             kp, kt = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             pred = rng.integers(0, kp, size=n)
             truth = rng.integers(0, kt, size=n)
-            assert classification_rate(pred, truth) == pytest.approx(
-                brute_force_classification_rate(pred, truth)
-            )
+            assert classification_rate(pred, truth) == brute_force_classification_rate(pred, truth)
 
     def test_invariant_to_bijections_on_both_sides(self):
         rng = substream(52)
@@ -68,9 +67,52 @@ class TestClassificationRate:
             classification_rate([0, 1], [0, 1, 1])
 
 
+class TestMaxMatching:
+    def test_one_by_one(self):
+        assert max_matching(np.array([[0]])) == 0
+        assert max_matching(np.array([[7]])) == 7
+
+    def test_zero_matrix(self):
+        assert max_matching(np.zeros((3, 5), dtype=np.int64)) == 0
+        assert max_matching(np.zeros((5, 3), dtype=np.int64)) == 0
+
+    def test_greedy_pick_is_not_optimal(self):
+        # the largest entry (9) is in no best matching: 8 + 8 beats 9 + 0
+        assert max_matching(np.array([[9, 8], [8, 0]])) == 16
+
+    def test_matches_scipy_oracle(self):
+        # scipy is a test-only oracle; the package itself must not import it
+        from scipy.optimize import linear_sum_assignment
+
+        rng = substream(54)
+        for _ in range(2000):
+            shape = rng.integers(1, 13, size=2)
+            cm = rng.integers(0, int(rng.integers(1, 5)), size=shape)  # small ranges give ties
+            cm[rng.random(shape[0]) < 0.15, :] = 0
+            cm[:, rng.random(shape[1]) < 0.15] = 0
+            rows, cols = linear_sum_assignment(cm, maximize=True)
+            assert max_matching(cm) == cm[rows, cols].sum()
+            assert max_matching(cm.T) == max_matching(cm)
+
+
 class TestConfusion:
     def test_counts(self):
         assert confusion([0, 0, 1], [0, 1, 1]).tolist() == [[1, 1], [0, 1]]
+
+    def test_counts_match_per_row_loop(self):
+        rng = substream(55)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            pred, truth = rng.integers(0, 4, size=n), rng.integers(0, 6, size=n)
+            want = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
+            for p, t in zip(pred, truth):
+                want[p, t] += 1
+            got = confusion(pred, truth)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="non-negative"):
+            confusion([0, -1], [0, 1])
 
 
 class TestReplicateSummary:

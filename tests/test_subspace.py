@@ -125,7 +125,7 @@ class TestDistinctCountPmf:
             assert distinct_count_pmf(J).tolist() == enumerate_distinct_pmf(J).tolist()
 
     def test_matches_inclusion_exclusion_formula(self):
-        for J in range(1, 41):
+        for J in range(1, 61):
             assert distinct_count_pmf(J).tolist() == exact_distinct_pmf_formula(J).tolist()
 
     def test_sums_to_one(self):
