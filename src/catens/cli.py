@@ -5,7 +5,7 @@ Subcommands: ``cluster`` (one dataset in, labels and optional Newick out),
 table), and ``simulate`` (export generated datasets).  The method name alone
 picks the pipeline; WOR and WR wrap ENAL in random-subspace ensembling.  A
 flag that no method of the run reads (see ``READS``) is refused.  Exit
-codes: 0 on success, 1 for usage errors, 2 for data errors.
+codes: 0 on success, 1 for usage errors (or out of memory), 2 for data errors.
 """
 
 from __future__ import annotations
@@ -410,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         sys.stderr.write(f"catens: usage error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # so far always a size flag (--ensemble-size) past memory
+        sys.stderr.write(f"catens: out of memory: {exc}\n")
         return 1
 
 

@@ -9,7 +9,10 @@ mismatch counting (:func:`mismatch_counts`, wrapped for data rows by
 :func:`hamming`) is the only notion of distance used anywhere in the
 package: plain counts, counts normalized by the number of compared
 positions, and the gap-aware variant that skips positions where either row
-holds a gap.
+holds a gap.  Codes are stored in the narrowest signed type that holds every
+code and the gap code (:func:`code_dtype`): int8 up to 128 symbols per column,
+int16 up to 32,768, int32 beyond (int64 past 2**31), so a nucleotide table
+costs one byte per cell.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ class DataError(ValueError):
     """Malformed input data (ragged table, bad file, incomparable rows)."""
 
 
+def code_dtype(max_cardinality: int) -> np.dtype:
+    """The storage type of codes: the narrowest signed type holding ``-max_cardinality``."""
+    return np.min_scalar_type(-int(max_cardinality))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -43,7 +51,10 @@ class CategoricalMatrix:
 
     ``codes[i, j]`` is a code in ``[0, cardinalities[j])`` or, when
     ``gap_code`` is set (to ``GAP_CODE``, the only value allowed), the gap.
-    ``row_ids`` optionally names the rows (e.g. FASTA record ids).
+    ``row_ids`` optionally names the rows (e.g. FASTA record ids).  Codes are
+    checked in the input's own integer type, then stored as
+    ``code_dtype(max(cardinalities))``; an input of that type is not copied,
+    so a column selection of a stored table is never converted.
     """
 
     codes: np.ndarray
@@ -52,10 +63,12 @@ class CategoricalMatrix:
     row_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int32))
+        codes = np.asarray(self.codes)
         cards = np.asarray(self.cardinalities, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise DataError("observation table must be a non-empty 2-D array")
+        if codes.dtype.kind not in "iu":  # a float would truncate, a bool is no code
+            raise DataError(f"codes must be integers, got {codes.dtype}")
         if cards.shape != (codes.shape[1],):
             raise DataError("one cardinality per column required")
         if np.any(cards < 1):
@@ -67,6 +80,8 @@ class CategoricalMatrix:
             raise DataError("non-gap codes must lie in [0, cardinality) for every column")
         if self.row_ids is not None and len(self.row_ids) != codes.shape[0]:
             raise DataError("one row id per row required")
+        # narrowed only now, so an out-of-range code has raised above and never wraps
+        codes = np.ascontiguousarray(codes, dtype=code_dtype(cards.max()))
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "cardinalities", _freeze(cards))
 
@@ -256,7 +271,9 @@ def mismatch_counts(
     popcount, in exact integer sums.  With ``b is a`` each pair ``i <= k`` is
     counted once and mirrored.
     """
-    lo, hi = int(min(a.min(), b.min())), int(max(a.max(), b.max()))
+    lo, hi = int(a.min()), int(a.max())
+    if b is not a:
+        lo, hi = min(lo, int(b.min())), max(hi, int(b.max()))
     if gap is not None:
         lo, hi = lo + (lo == gap), hi - (hi == gap)
     planes = max(1, hi - lo).bit_length()

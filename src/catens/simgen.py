@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering
+from .core import CategoricalMatrix, Clustering, code_dtype
 from .rng import substream
 
 NUCLEOTIDES = ("A", "T", "C", "G")
@@ -114,7 +114,7 @@ def gen_lowdim(design: Design, seed: int = 0, replicate: int = 0) -> tuple[Categ
     """
     sizes = design.sizes
     n, J, K = design.n, design.J, design.K
-    codes = np.empty((n, J), dtype=np.int32)
+    codes = np.empty((n, J), dtype=code_dtype(21))  # stored as is: cardinalities are at most 21
     cards = np.empty(J, dtype=np.int64)
     for j in range(J):
         rng = substream(seed, replicate, j)
@@ -137,7 +137,7 @@ def gen_highdim(sd: SeqDesign, seed: int = 0, replicate: int = 0) -> tuple[Categ
     for the symbol ``NUCLEOTIDES[c]``."""
     widths = substream(seed, replicate).multinomial(sd.J, sd.block_probs)
     n = sd.n
-    codes = np.empty((n, sd.J), dtype=np.int32)
+    codes = np.empty((n, sd.J), dtype=code_dtype(4))  # stored as is; the draws keep their int32 stream
     starts = np.concatenate(([0], np.cumsum(widths)))
     row_starts = np.concatenate(([0], np.cumsum(sd.sizes)))
     for b in range(6):

@@ -95,11 +95,15 @@ def wr_subspaces(J: int, M: int | None = None, seed: int = 0) -> SubspaceSet:
         raise ValueError("J must be >= 1")
     if M < 1:
         raise ValueError(f"WR subset count {M} must be >= 1")
-    subsets = []
+    subsets, drawn = [], np.empty(J, dtype=bool)
     for r in range(M):
         rng = substream(seed, r)
-        first = np.count_nonzero(np.bincount(rng.integers(0, J, size=J), minlength=J))
-        subsets.append(np.flatnonzero(np.bincount(rng.integers(0, J, size=first), minlength=J)))
+        drawn[:] = False
+        drawn[rng.integers(0, J, size=J)] = True
+        first = np.count_nonzero(drawn)
+        drawn[:] = False
+        drawn[rng.integers(0, J, size=first)] = True
+        subsets.append(np.flatnonzero(drawn))
     return SubspaceSet(subsets=tuple(subsets), source_J=J)
 
 

@@ -13,12 +13,16 @@ from catens.core import (
     Clustering,
     DataError,
     DissimilarityMatrix,
+    code_dtype,
     encode,
     hamming,
     mismatch_counts,
     relabel_dense,
 )
+from catens.io import load_fasta_matrix
+from catens.kmodes import en_kmodes, kmodes
 from catens.rng import substream
+from catens.simgen import SeqDesign, gen_highdim
 
 from .reference import first_appearance_labels, naive_encode, naive_mismatch_counts
 
@@ -197,6 +201,14 @@ class TestMismatchCounts:
         rng = substream(31)
         for n, m, j in [(7, 3, 5), (1, 4, 9), (5, 1, 1), (6, 6, 12)]:
             self.check(rng.integers(0, 3, size=(n, j)), rng.integers(0, 3, size=(m, j)))
+
+    def test_value_range_spans_both_tables(self):
+        # ``a`` alone needs one plane; planes counted from it alone would
+        # wrap ``b``'s 2 onto 0 and 3 onto 1
+        a, b = np.array([[0, 1, 0, 1]]), np.array([[2, 3, 0, 1], [0, 1, 2, 3]])
+        for gap in (None, -1, 3):
+            self.check(a, b, gap=gap)
+            self.check(b, a, gap=gap)
 
     def test_gap_mask_and_compared_counts(self):
         rng = substream(32)
@@ -426,6 +438,103 @@ class TestCategoricalMatrixValidation:
             CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), np.array([2, 0, 1]))
         with pytest.raises(DataError, match="one row id per row"):
             CategoricalMatrix(np.zeros((2, 3), dtype=np.int32), self.CARDS, row_ids=("a",))
+
+    @pytest.mark.parametrize("codes", [
+        np.array([[2**32, 1], [0, 1]]),  # int64 that wraps to 0 in int32
+        np.array([[-2**32, 1], [0, 1]]),
+        np.array([[2**64 - 1, 1], [0, 1]], dtype=np.uint64),
+        np.array([[256, 1], [0, 1]], dtype=np.int16),  # wraps to 0 in int8
+    ])
+    def test_out_of_range_code_raises_before_it_is_narrowed(self, codes):
+        with pytest.raises(DataError, match=r"non-gap codes must lie in \[0, cardinality\)"):
+            CategoricalMatrix(codes, [2, 2])
+
+    @pytest.mark.parametrize("codes", [
+        [[0.7, 1.9], [0.0, 1.0]],  # would truncate to [[0, 1], [0, 1]]
+        np.array([[0, 1], [0, 1]], dtype=np.float32),
+        np.array([[False, True], [False, True]]),
+    ])
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(DataError, match="codes must be integers"):
+            CategoricalMatrix(codes, [2, 2])
+
+
+def stored_as(x: CategoricalMatrix, dtype) -> CategoricalMatrix:
+    """``x`` with its codes kept in ``dtype``, past the constructor's narrowing."""
+    wide = CategoricalMatrix(x.codes, x.cardinalities, x.gap_code, x.row_ids)
+    object.__setattr__(wide, "codes", core._freeze(x.codes.astype(dtype)))
+    return wide
+
+
+def hamming_outcome(x: CategoricalMatrix, normalized: bool):
+    """The matrix's kind and bytes, or the error (a pair with no shared non-gap column)."""
+    try:
+        d = hamming(x, normalized)
+    except DataError as err:
+        return str(err)
+    return d.kind, d.values.tobytes()
+
+
+class TestCodeStorage:
+    @pytest.mark.parametrize("card, dtype", [
+        (1, np.int8), (128, np.int8), (129, np.int16), (32_768, np.int16), (32_769, np.int32),
+    ])
+    @pytest.mark.parametrize("gap_code", [None, GAP_CODE])
+    def test_narrowest_type_at_the_boundaries(self, card, dtype, gap_code):
+        low = 0 if gap_code is None else GAP_CODE
+        codes = np.array([[card - 1, low], [low, card - 1]])
+        x = CategoricalMatrix(codes, [card, card], gap_code=gap_code)
+        assert code_dtype(card) == x.codes.dtype == dtype and x.codes.flags.c_contiguous
+        assert x.codes.tolist() == codes.tolist()
+
+    def test_one_wide_column_widens_the_table(self):
+        x = CategoricalMatrix(np.zeros((2, 3), dtype=np.int8), [2, 129, 3])
+        assert x.codes.dtype == np.int16
+
+    def test_narrow_input_is_kept_and_column_selection_keeps_the_type(self):
+        for card, dtype in [(4, np.int8), (200, np.int16)]:
+            codes = substream(card).integers(0, card, size=(5, 40)).astype(dtype)
+            x = CategoricalMatrix(codes, np.full(40, card))
+            assert x.codes is codes
+            sub = x.select_columns([3, 0, 39, 3])
+            assert sub.codes.dtype == dtype and sub.codes.tolist() == codes[:, [3, 0, 39, 3]].tolist()
+
+    def test_tables_cost_one_byte_per_cell(self, tmp_path):
+        x, _ = gen_highdim(SeqDesign(J=3_000, sizes=(2, 3, 2, 2, 1)), seed=5)
+        assert x.codes.dtype == np.int8 and x.codes.nbytes == x.n * x.J
+        path = tmp_path / "aligned.fasta"
+        path.write_text(">a\nAC-GT\n>b\nACCG.\n>c\nTTAGA\n", encoding="ascii")
+        y = load_fasta_matrix(path)
+        assert y.codes.nbytes == y.n * y.J == 15
+        assert y.codes.tolist() == [[0, 0, -1, 0, 0], [0, 0, 0, 0, -1], [1, 1, 1, 0, 1]]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 128, 129, 32_768, 32_769]), st.booleans())
+    def test_results_do_not_depend_on_the_storage_type(self, seed, card, gaps):
+        # a few values spread over [0, card), so every plane count and offset type shows up
+        rng = substream(seed)
+        n, J = int(rng.integers(2, 9)), int(rng.integers(1, 70))
+        values = rng.choice(card, size=min(card, 3), replace=False)
+        codes = values[rng.integers(0, values.size, size=(n, J))]
+        if gaps:
+            codes[rng.random((n, J)) < 0.2] = GAP_CODE
+        x = CategoricalMatrix(codes, np.full(J, card), gap_code=GAP_CODE if gaps else None)
+        wide = stored_as(x, np.int32)
+        gap = x.gap_code
+        want = naive_mismatch_counts(codes.tolist(), codes.tolist(), gap)
+        for table in (x.codes, wide.codes):
+            counts, compared = mismatch_counts(table, table, gap)
+            assert counts.tolist() == want[0]
+            assert np.broadcast_to(compared, counts.shape).tolist() == want[1]
+        for normalized in (False, True):
+            assert hamming_outcome(x, normalized) == hamming_outcome(wide, normalized)
+        if gaps or card > 129:  # k-modes takes gap-free tables; its count table grows with card
+            return
+        k = int(rng.integers(1, n + 1))
+        a, b = kmodes(x, k, seed=seed), kmodes(wide, k, seed=seed)
+        assert (a.labels.tolist(), a.modes.tolist(), a.cost, a.n_iter) == (
+            b.labels.tolist(), b.modes.tolist(), b.cost, b.n_iter)
+        ensembles = [en_kmodes(t, k, B=4, seed=seed).labels.tolist() for t in (x, wide)]
+        assert ensembles[0] == ensembles[1]
 
 
 class TestDissimilarityMatrix:

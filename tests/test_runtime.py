@@ -1,5 +1,6 @@
-"""The installed runtime: what ``import catens`` loads, and that every
-command runs with numpy alone (scipy is a test-only oracle)."""
+"""The installed runtime: what ``import catens`` loads, that every command
+runs with numpy alone (scipy is a test-only oracle), and how a run that
+runs out of memory ends."""
 
 import os
 import subprocess
@@ -86,3 +87,24 @@ def test_commands_run_without_scipy(command, tmp_path):
     assert results[0] == results[1]
     if command == "cluster-truth":
         assert results[0][1].startswith(b"classification rate: ")
+
+
+# caps this process's address space (3 GB), so a huge allocation fails at once
+# instead of being overcommitted; only the child process is limited
+LIMIT_MEMORY = """
+import resource
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(hard, 3 * 2**30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+
+
+@pytest.mark.parametrize("method", ["ENAL", "ENKM"])
+def test_a_size_flag_past_memory_ends_in_one_line(method, tmp_path):
+    (tmp_path / "four.csv").write_text("a,x\na,y\nb,x\nb,y\n", encoding="utf-8")
+    argv = ["cluster", "four.csv", "--method", method, "--k", "2", "--ensemble-size", "100000000000"]
+    done = python(LIMIT_MEMORY + RUN_MAIN, *argv, cwd=tmp_path)
+    err = done.stderr.decode()
+    assert done.returncode == 1, err
+    assert err.startswith("catens: out of memory: ") and err.count("\n") == 1, err
+    assert done.stdout == b""
