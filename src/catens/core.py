@@ -12,7 +12,10 @@ positions, and the gap-aware variant that skips positions where either row
 holds a gap.  Codes are stored in the narrowest signed type that holds every
 code and the gap code (:func:`code_dtype`): int8 up to 128 symbols per column,
 int16 up to 32,768, int32 beyond (int64 past 2**31), so a nucleotide table
-costs one byte per cell.
+costs one byte per cell.  Mismatch counts are filled straight into a float64
+table, exact because every count is an integer below 2**53, so the kernel's
+table becomes the dissimilarity's values with one in-place division: each
+``n x n`` stage holds one table, not an integer one and its float copy.
 """
 
 from __future__ import annotations
@@ -124,15 +127,16 @@ class DissimilarityMatrix:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 1:
             raise DataError("dissimilarity matrix must be square and non-empty")
-        if not np.all(np.isfinite(vals)):
+        lo, hi = vals.min(), vals.max()  # NaN and +-inf each reach one of the two
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("dissimilarity matrix contains NaN or infinite entries")
         if not np.array_equal(vals, vals.T):
             raise DataError("dissimilarity matrix must be symmetric")
         if np.any(np.diagonal(vals) != 0.0):
             raise DataError("dissimilarity matrix must have a zero diagonal")
-        if np.any(vals < 0.0):
+        if lo < 0.0:
             raise DataError("dissimilarity values must be non-negative")
-        if self.kind in ("normalized", "ensemble") and np.any(vals > 1.0):
+        if self.kind in ("normalized", "ensemble") and hi > 1.0:
             raise DataError(f"{self.kind} dissimilarities must lie in [0, 1]")
         if self.kind == "raw-count" and np.any(vals != np.floor(vals)):
             raise DataError("raw-count dissimilarities must be integers")
@@ -233,11 +237,12 @@ def plane_mismatches(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``(counts, compared)`` between the rows of two :func:`bit_planes` packings.  With
     packed validity masks ``va``/``vb`` only columns valid in both rows count; without them
-    ``compared`` is ``None``.  Rows of ``pa`` go in blocks whose temporary holds at most
+    ``compared`` is ``None``.  Both tables are float64, which holds every count exactly, so a
+    caller divides them in place.  Rows of ``pa`` go in blocks whose temporary holds at most
     ``_BLOCK_ELEMS`` words.  A self-comparison (``pa is pb``, ``va is vb``) counts each
     pair ``i <= k`` once and mirrors it."""
     (planes, n, words), m = pa.shape, pb.shape[1]
-    counts = np.empty((n, m), dtype=np.int64)
+    counts = np.empty((n, m), dtype=np.float64)
     compared = None if va is None else np.empty_like(counts)
     same = pa is pb and va is vb
     block = max(1, _BLOCK_ELEMS // (planes * m * words))
@@ -268,7 +273,9 @@ def mismatch_counts(
     count.  Both tables are bit-sliced over the joint range of non-gap values
     (a gap at either end of the span takes no plane, as validity words mask
     gap cells when there are any) and compared 64 columns per word with
-    popcount, in exact integer sums.  With ``b is a`` each pair ``i <= k`` is
+    popcount, in exact integer sums.  ``counts`` and an array ``compared`` are
+    float64 tables of those integers, exact below 2**53, so a caller may
+    divide ``counts`` in place.  With ``b is a`` each pair ``i <= k`` is
     counted once and mirrored.
     """
     lo, hi = int(a.min()), int(a.max())
@@ -294,8 +301,8 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     Positions where either row holds a gap are omitted from both the count and, in the
     normalized form, the denominator; a pair of rows with no comparable positions is an
     error.  Accumulation is pure integer work, with the normalizing division done once per
-    pair at the end, so results are bitwise-identical however the row blocks are scheduled,
-    and a mirrored entry equals the one counted directly.
+    pair at the end, in place on the kernel's float64 counts, so results are bitwise-identical
+    however the row blocks are scheduled, and a mirrored entry equals the one counted directly.
     """
     if x.n < 2:
         raise DataError("need at least two rows to form pairwise dissimilarities")
@@ -305,9 +312,10 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     if x.gap_code is not None and np.any(compared == 0):
         i, k = np.argwhere((compared == 0) & ~np.eye(x.n, dtype=bool))[0]
         raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
-    values = counts / compared if normalized else counts.astype(np.float64)
-    np.fill_diagonal(values, 0.0)
-    return DissimilarityMatrix(values=values, kind="normalized" if normalized else "raw-count")
+    if normalized:
+        counts /= compared
+    np.fill_diagonal(counts, 0.0)
+    return DissimilarityMatrix(values=counts, kind="normalized" if normalized else "raw-count")
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,9 @@ def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
     values in {0, 1/B, ..., 1} and is exactly symmetric with zero diagonal.
     """
     counts, _ = mismatch_counts(w.entries, w.entries)
-    values = counts / w.B
-    np.fill_diagonal(values, 0.0)
-    return DissimilarityMatrix(values=values, kind="ensemble")
+    counts /= w.B
+    np.fill_diagonal(counts, 0.0)
+    return DissimilarityMatrix(values=counts, kind="ensemble")
 
 
 def recluster(
@@ -129,8 +129,10 @@ def ensemble_cluster(
     Base dissimilarity -> incidence matrix of base cuts -> ensemble
     dissimilarity -> re-agglomeration under the same linkage -> cut at
     ``k_final``.  Using the same linkage at both stages follows the finding
-    that mixed-linkage pipelines do worse.
+    that mixed-linkage pipelines do worse.  The base dissimilarity is dropped
+    before the second stage, so one ``n x n`` table of each stage is alive at a time.
     """
     d = hamming(data, normalized=True) if isinstance(data, CategoricalMatrix) else data
     w = build_incidence(d, draw_sizes(cfg, d.n), cfg.linkage, cfg.alpha)
+    del d
     return recluster(w, cfg.linkage, k_final, cfg.alpha)

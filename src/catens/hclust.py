@@ -12,6 +12,7 @@ bound: O(n^2) memory, O(n) numpy work per merge plus rescans, O(n^3) at worst.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,8 @@ class Merge:
 class Dendrogram:
     """The full merge history of an agglomeration over ``n`` leaves.  Checks
     ``n >= 1``, ``n - 1`` merges and a root of size ``n``; that each node is
-    one merge's child and each size sums its children's is :func:`agglomerate`'s
-    guarantee, not replayed here."""
+    one merge's child, each size sums its children's and each ``left`` holds
+    the smaller leaf is :func:`agglomerate`'s guarantee, not replayed here."""
 
     n: int
     merges: tuple[Merge, ...]
@@ -62,6 +63,25 @@ class Dendrogram:
     @property
     def heights(self) -> np.ndarray:
         return np.array([m.height for m in self.merges], dtype=np.float64)
+
+    @cached_property
+    def leaf_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, start, size)``: the leaves in the order that puts every node's members
+        together, left child first (so the first is the node's least leaf), and each node's
+        first position in ``order`` and member count, by node id.  Built once per tree,
+        root first, in O(n)."""
+        n = self.n
+        size = np.array([1] * n + [m.size for m in self.merges], dtype=np.int64)
+        start = np.zeros(2 * n - 1, dtype=np.int64)
+        for t in range(n - 2, -1, -1):
+            m = self.merges[t]
+            start[m.left] = start[n + t]
+            start[m.right] = start[n + t] + size[m.left]
+        order = np.empty(n, dtype=np.int64)
+        order[start[:n]] = np.arange(n)
+        for arr in (order, start, size):
+            arr.flags.writeable = False
+        return order, start, size
 
 
 def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
@@ -111,16 +131,17 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     return Dendrogram(n=n, merges=tuple(merges), source=d)
 
 
-def _components(tree: Dendrogram, k: int) -> list[list[int]]:
-    """Member lists of the ``k`` clusters left after the first ``n - k``
-    merges, ordered by smallest member; each list is in merge order."""
-    if not 1 <= k <= tree.n:
-        raise ValueError(f"cut size must be in [1, {tree.n}], got {k}")
-    members: dict[int, list[int]] = {i: [i] for i in range(tree.n)}
-    for t in range(tree.n - k):
-        m = tree.merges[t]
-        members[tree.n + t] = members.pop(m.left) + members.pop(m.right)
-    return sorted(members.values(), key=min)
+def _components(tree: Dendrogram, k: int) -> list[np.ndarray]:
+    """Members of the ``k`` clusters left after the first ``n - k`` merges,
+    ordered by smallest member, each in merge order: the clusters are the
+    children of the last ``k - 1`` merges made before them (the root when
+    ``k = 1``), each one slice of ``tree.leaf_order``."""
+    n = tree.n
+    if not 1 <= k <= n:
+        raise ValueError(f"cut size must be in [1, {n}], got {k}")
+    order, start, size = tree.leaf_order
+    roots = [c for m in tree.merges[n - k:] for c in (m.left, m.right) if c < 2 * n - k] or [2 * n - 2]
+    return [order[start[c]:start[c] + size[c]] for c in sorted(roots, key=lambda c: order[start[c]])]
 
 
 def cut(tree: Dendrogram, k: int) -> Clustering:

@@ -7,7 +7,9 @@ dissimilarity and the mismatch counts are plain loops, the matching rate
 enumerates label injections, and the bootstrap distinct-count law
 enumerates the whole sample space.  The Newick oracle walks the tree
 top-down with an explicit stack.  The one-``argmin``-per-merge agglomeration
-loop is kept as the exact-merge oracle of the lower-bound search.  The k-modes
+loop is kept as the exact-merge oracle of the lower-bound search, and the
+member-list walk over the first ``n - k`` merges as the oracle of the
+leaf-order cut.  The k-modes
 mode update and the α-deferral of small clusters keep their loops: one
 ``bincount`` per cluster and one mean per deferred point and survivor.  One
 k-modes run is a plain loop over rows, modes and columns.
@@ -29,7 +31,7 @@ from catens.core import (
     DissimilarityMatrix,
     relabel_dense,
 )
-from catens.hclust import Dendrogram, Merge, _components, _quote_label, check_linkage
+from catens.hclust import Dendrogram, Merge, _quote_label, check_linkage
 
 
 def brute_force_agglomerate(values: np.ndarray, linkage: str):
@@ -309,11 +311,24 @@ def naive_kmodes(codes, k: int, rng: np.random.Generator, max_iter: int):
     return labels, modes, sum(dist), it
 
 
+def member_lists(tree: Dendrogram, k: int) -> list[list[int]]:
+    """Member lists of the ``k`` clusters left after the first ``n - k``
+    merges, ordered by smallest member; each list is in merge order.  Every
+    merge is replayed through a dict of lists."""
+    if not 1 <= k <= tree.n:
+        raise ValueError(f"cut size must be in [1, {tree.n}], got {k}")
+    members: dict[int, list[int]] = {i: [i] for i in range(tree.n)}
+    for t in range(tree.n - k):
+        m = tree.merges[t]
+        members[tree.n + t] = members.pop(m.left) + members.pop(m.right)
+    return sorted(members.values(), key=min)
+
+
 def per_point_deferral(tree: Dendrogram, k: int, alpha: float) -> Clustering:
     """Cut at ``k`` and move each point of a cluster smaller than
     ``alpha * n`` to the survivor of least mean dissimilarity, one point and
     one 1-D mean over the survivor's merge-order member list at a time."""
-    groups = _components(tree, k)
+    groups = member_lists(tree, k)
     threshold = alpha * tree.n
     survivors = [g for g in groups if len(g) >= threshold]
     if not survivors:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from catens.cli import ExperimentSpec, MethodOptions, build_parser, main, run_ex
 from catens.core import encode
 from catens.metrics import classification_rate
 from catens.rng import substream
-from catens.simgen import DESIGNS, gen_lowdim
+from catens.simgen import DESIGNS, Design, gen_lowdim
 
 
 def write_blocks_csv(path, rng, sizes=(8, 8), J=10, shuffle=False):
@@ -81,6 +82,20 @@ class TestRunMethod:
             assert tree is None
         else:
             assert tree is not None and tree.n == x.n
+
+    @pytest.mark.parametrize("method, alpha", [("HCAL", 0.0), ("ENAL", 0.0), ("ENAL", 0.05), ("ENKM", 0.0)])
+    def test_one_square_table_per_stage(self, method, alpha):
+        # the kernel's float64 counts become the dissimilarity in place, and ENAL
+        # drops the base matrix before its second stage, so each stage holds one
+        # n x n table beside one working copy: about 2.1 n^2 float64
+        x, _ = gen_lowdim(Design("N400", 5, (80,) * 5), seed=7)
+        tracemalloc.start()
+        try:
+            run_method(method, x, 5, MethodOptions(B=25, seed=3, alpha=alpha))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * x.n**2
 
     def test_unknown_method_rejected(self):
         x, _ = gen_lowdim(DESIGNS["D10"], seed=3)

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from catens.core import DataError, DissimilarityMatrix, relabel_dense
 from catens.ensemble import EnsembleConfig, ensemble_cluster
-from catens.hclust import Dendrogram, Merge, agglomerate, cut, cut_with_outlier_deferral, to_newick
+from catens.hclust import Dendrogram, Merge, _components, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from catens.metrics import classification_rate
 from catens.rng import substream
 from catens.simgen import Design, gen_lowdim
 
-from .reference import argmin_agglomerate, brute_force_agglomerate, per_point_deferral, stack_newick
+from .reference import argmin_agglomerate, brute_force_agglomerate, member_lists, per_point_deferral, stack_newick
 
 
 def matrix(values, kind="normalized"):
@@ -96,6 +96,25 @@ class TestCut:
             cut(t, 0)
         with pytest.raises(ValueError):
             cut(t, 4)
+
+    def test_single_leaf(self):
+        assert cut(Dendrogram(n=1, merges=()), 1).labels.tolist() == [0]
+
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.sampled_from(["SL", "AL", "CL"]))
+    def test_leaf_order_cut_matches_member_list_walk(self, n, seed, linkage):
+        # raw counts in {0..3}: tie-heavy trees, with duplicate rows at distance 0
+        upper = np.triu(np.random.default_rng(seed).integers(0, 4, (n, n)), 1)
+        tree = agglomerate(matrix(upper + upper.T, kind="raw-count"), linkage)
+        for k in range(1, n + 1):
+            assert [g.tolist() for g in _components(tree, k)] == member_lists(tree, k)
+            for alpha in (0.0, 0.05):
+                try:
+                    expected = per_point_deferral(tree, k, alpha).labels
+                except DataError:
+                    with pytest.raises(DataError):
+                        cut_with_outlier_deferral(tree, k, alpha)
+                    continue
+                assert cut_with_outlier_deferral(tree, k, alpha).labels.tolist() == expected.tolist()
 
     def test_exactly_k_clusters_and_refinement(self):
         rng = substream(6)

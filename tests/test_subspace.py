@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,6 +95,18 @@ class TestWrSubspaces:
             first = np.unique(rng.integers(0, J, size=J))
             assert np.array_equal(sub, np.unique(rng.integers(0, J, size=first.size)))
 
+    def test_paper_width_indices_take_two_bytes_each(self):
+        # J = 50,000 columns fit uint16; each subset is narrowed as it is drawn,
+        # so the peak stays near the indices themselves (9.4 MB as int64)
+        tracemalloc.start()
+        try:
+            s = wr_subspaces(50_000, M=50, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sub.nbytes for sub in s.subsets) == 2 * sum(sub.size for sub in s.subsets)
+        assert peak < 3 * 2**20
+
     def test_single_level_keeps_about_sixty_three_percent(self):
         rng = substream(32)
         fractions = [len(np.unique(rng.integers(0, 4000, 4000))) / 4000 for _ in range(60)]
@@ -107,6 +121,31 @@ class TestSubspaceSetValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
             SubspaceSet(subsets=(np.array([5]),), source_J=3)
+
+    @pytest.mark.parametrize("sub", [np.array([1.5, 0.2]), np.array([True, False]), np.array([1.0])])
+    def test_non_integer_indices_rejected(self, sub):
+        with pytest.raises(DataError, match=f"subset indices must be integers, got {sub.dtype}"):
+            SubspaceSet(subsets=(sub,), source_J=3)
+
+    @pytest.mark.parametrize("index", [-1, 256, 65_536 + 255])
+    def test_range_is_checked_before_narrowing(self, index):
+        # each of these wraps into [0, 256) as uint8
+        with pytest.raises(DataError, match="must lie in"):
+            SubspaceSet(subsets=(np.array([0, index]),), source_J=256)
+
+    @pytest.mark.parametrize(
+        "J, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+    )
+    def test_indices_stored_in_narrowest_unsigned_type(self, J, dtype):
+        s = SubspaceSet(subsets=(np.array([0, J - 1]), [J - 1]), source_J=J)
+        assert all(sub.dtype == dtype and not sub.flags.writeable for sub in s.subsets)
+        assert s.subsets[0].tolist() == [0, J - 1]
+        assert wor_subspaces(J, blocks=1, seed=1).subsets[0].dtype == dtype
+        assert wr_subspaces(J, M=1, seed=1).subsets[0].dtype == dtype
+
+    def test_input_of_the_storage_type_is_not_copied(self):
+        sub = np.arange(4, dtype=np.uint8)
+        assert SubspaceSet(subsets=(sub,), source_J=4).subsets[0] is sub
 
 
 class TestDistinctCountPmf:
