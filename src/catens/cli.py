@@ -25,7 +25,7 @@ from .kmodes import en_kmodes, kmodes
 from .metrics import classification_rate, format_results_table, replicate_summary
 from .rng import child_seed
 from .simgen import (
-    DESIGNS, NUCLEOTIDES, SEQ_HIGH_NOISE, SEQ_LOW_NOISE, SeqDesign, gen_highdim, gen_lowdim, gen_noise,
+    DESIGNS, NUCLEOTIDES, SEQ_HIGH_NOISE, SEQ_LOW_NOISE, gen_highdim, gen_lowdim, gen_noise,
 )
 from .subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 
@@ -122,23 +122,19 @@ class ExperimentSpec:
             raise ValueError("seq_j and seq_sizes apply only to seq_design")
 
 
-def _seq_design(name: str, J: int | None, sizes: tuple[int, ...] | None) -> SeqDesign:
-    changes = {"J": J, "sizes": sizes}
-    return replace(SEQ_DESIGNS[name], **{k: v for k, v in changes.items() if v is not None})
-
-
-def _experiment_data(spec: ExperimentSpec, replicate: int) -> tuple[CategoricalMatrix, Clustering | None]:
-    data_seed = child_seed(spec.seed, 0)
-    if spec.design is not None:
-        return gen_lowdim(DESIGNS[spec.design], seed=data_seed, replicate=replicate)
-    if spec.seq_design is not None:
-        design = _seq_design(spec.seq_design, spec.seq_j, spec.seq_sizes)
-        return gen_highdim(design, seed=data_seed, replicate=replicate)
-    return spec.data[1:]
+def _draw(design: str | None, seq_design: str | None, seq_j: int | None, seq_sizes: tuple[int, ...] | None,
+          seed: int, replicate: int) -> tuple[CategoricalMatrix, Clustering]:
+    """One replicate of a simulated source: the low-dimensional ``design``, or else
+    ``seq_design`` with ``seq_j`` and ``seq_sizes``, when given, in place of its own."""
+    if design is not None:
+        return gen_lowdim(DESIGNS[design], seed=seed, replicate=replicate)
+    changes = {k: v for k, v in (("J", seq_j), ("sizes", seq_sizes)) if v is not None}
+    return gen_highdim(replace(SEQ_DESIGNS[seq_design], **changes), seed=seed, replicate=replicate)
 
 
 def _replicate_rates(spec: ExperimentSpec, replicate: int) -> dict[str, float]:
-    x, truth = _experiment_data(spec, replicate)
+    source = (spec.design, spec.seq_design, spec.seq_j, spec.seq_sizes)
+    x, truth = spec.data[1:] if spec.data else _draw(*source, child_seed(spec.seed, 0), replicate)
     if truth is None:
         raise DataError("classification rates need truth labels; none were provided")
     k = truth.K if spec.k_final is None else spec.k_final
@@ -213,6 +209,24 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truth-column", help="CSV column holding true labels (name or index)")
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _add_source_flags(p: argparse.ArgumentParser, other: str, **kwargs) -> None:
+    """The simulated sources and the command's ``other`` one, exactly one required."""
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--design", choices=sorted(DESIGNS, key=lambda s: int(s[1:])),
+                     help="low-dimensional simulated design")
+    src.add_argument("--seq-design", choices=sorted(SEQ_DESIGNS), help="high-dimensional sequence simulator")
+    src.add_argument(other, **kwargs)
+    p.add_argument("--seq-j", type=int, help="total dimension for --seq-design")
+    p.add_argument("--seq-sizes", type=_sizes, help="comma-separated cluster sizes for --seq-design")
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     default = MethodOptions()
     p.add_argument("--ensemble-size", type=int, default=default.B, metavar="B", dest="B",
@@ -246,14 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(pc)
 
     pe = sub.add_parser("experiment", help="replicated method comparison")
-    src = pe.add_mutually_exclusive_group(required=True)
-    src.add_argument("--design", choices=sorted(DESIGNS, key=lambda s: int(s[1:])),
-                     help="low-dimensional simulated design")
-    src.add_argument("--seq-design", choices=sorted(SEQ_DESIGNS),
-                     help="high-dimensional sequence simulator")
-    src.add_argument("--input", help="CSV file with a truth column")
-    pe.add_argument("--seq-j", type=int, help="total dimension for --seq-design")
-    pe.add_argument("--seq-sizes", help="comma-separated cluster sizes for --seq-design")
+    _add_source_flags(pe, "--input", help="CSV file with a truth column")
     pe.add_argument("--methods", required=True, help="comma-separated method names")
     pe.add_argument("--replicates", type=int, default=1)
     pe.add_argument("--k", type=int, help="final cluster count (default: from design/truth)")
@@ -263,12 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(pe)
 
     ps = sub.add_parser("simulate", help="generate and export a dataset")
-    gsrc = ps.add_mutually_exclusive_group(required=True)
-    gsrc.add_argument("--design", choices=sorted(DESIGNS, key=lambda s: int(s[1:])))
-    gsrc.add_argument("--seq-design", choices=sorted(SEQ_DESIGNS))
-    gsrc.add_argument("--noise", metavar="N,J,S", help="uniform noise table")
-    ps.add_argument("--seq-j", type=int, help="total dimension for --seq-design")
-    ps.add_argument("--seq-sizes", help="comma-separated cluster sizes for --seq-design")
+    _add_source_flags(ps, "--noise", metavar="N,J,S", help="uniform noise table")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--replicate", type=int, default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination (.fasta: not with --design)")
@@ -312,12 +314,6 @@ def _options(args: argparse.Namespace, methods: tuple[str, ...]) -> MethodOption
     return opts
 
 
-def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
-    return tuple(int(part) for part in text.split(","))
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.newick and args.method.upper() in ("KMODES", "ENKM"):
         raise ValueError(f"method {args.method} does not produce a dendrogram")
@@ -346,7 +342,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         design=args.design,
         seq_design=args.seq_design,
         seq_j=args.seq_j,
-        seq_sizes=_parse_sizes(args.seq_sizes),
+        seq_sizes=args.seq_sizes,
         data=(Path(args.input).name, *_load_input(args)) if args.input else None,
         options=options,
         workers=args.workers,
@@ -370,11 +366,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--truth-out applies only to FASTA output of --seq-design")
     if fasta and args.delimiter != ",":
         raise ValueError("--delimiter applies only to CSV output")
-    if args.design:
-        x, truth = gen_lowdim(DESIGNS[args.design], seed=args.seed, replicate=args.replicate)
-    elif args.seq_design:
-        design = _seq_design(args.seq_design, args.seq_j, _parse_sizes(args.seq_sizes))
-        x, truth = gen_highdim(design, seed=args.seed, replicate=args.replicate)
+    if args.noise is None:
+        x, truth = _draw(args.design, args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
     else:
         try:
             n, j, s = (int(v) for v in args.noise.split(","))
@@ -400,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv))
+        if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
+            raise ValueError("--config may be given once, spelled in full")
         if args.command == "cluster":
             return _cmd_cluster(args)
         if args.command == "experiment":

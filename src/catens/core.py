@@ -4,18 +4,20 @@ A dataset is an ``n x J`` table of nominal codes (:class:`CategoricalMatrix`).
 Column alphabets are finite and per-column bounded; an optional reserved gap
 code marks alignment placeholders in pre-aligned sequence data.  Encoding is
 one-way: the codes keep no map back to the strings they came from, because
-every method reads codes only through equality.  Pairwise
-mismatch counting (:func:`mismatch_counts`, wrapped for data rows by
-:func:`hamming`) is the only notion of distance used anywhere in the
-package: plain counts, counts normalized by the number of compared
-positions, and the gap-aware variant that skips positions where either row
-holds a gap.  Codes are stored in the narrowest signed type that holds every
-code and the gap code (:func:`code_dtype`): int8 up to 128 symbols per column,
-int16 up to 32,768, int32 beyond (int64 past 2**31), so a nucleotide table
-costs one byte per cell.  Mismatch counts are filled straight into a float64
-table, exact because every count is an integer below 2**53, so the kernel's
-table becomes the dissimilarity's values with one in-place division: each
-``n x n`` stage holds one table, not an integer one and its float copy.
+every method reads codes only through equality.  Mismatch counting is the
+only notion of distance used anywhere in the package: plain counts, counts
+normalized by the number of compared positions, and the gap-aware variant
+that skips positions where either row holds a gap.  :func:`mismatch_counts`
+compares every pair of rows of one table (data rows for :func:`hamming`,
+base-clustering labels for the ensemble); k-modes compares rows with modes
+through :func:`plane_mismatches` directly.  Codes are stored in the narrowest
+signed type that holds every code and the gap code (:func:`code_dtype`): int8
+up to 128 symbols per column, int16 up to 32,768, int32 beyond (int64 past
+2**31), so a nucleotide table costs one byte per cell.  Mismatch counts are
+filled straight into a float64 table, exact because every count is an integer
+below 2**53, so the kernel's table becomes the dissimilarity's values with one
+in-place division: each ``n x n`` stage holds one table, not an integer one
+and its float copy.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 GAP_CODE = -1
 
-# cap on the uint64 words in one block temporary of plane_mismatches() (1 MB)
+# cap on the uint64 words in one block temporary of plane_mismatches() (1 MB),
+# and on the cells of one block of DissimilarityMatrix's integrality check
 _BLOCK_ELEMS = 2**17
 # cap on the int32 entries of encode()'s working table (16 MB)
 _RANK_CELLS = 2**22
@@ -138,7 +141,9 @@ class DissimilarityMatrix:
             raise DataError("dissimilarity values must be non-negative")
         if self.kind in ("normalized", "ensemble") and hi > 1.0:
             raise DataError(f"{self.kind} dissimilarities must lie in [0, 1]")
-        if self.kind == "raw-count" and np.any(vals != np.floor(vals)):
+        # rows of about _BLOCK_ELEMS cells, so the check's temporaries stay small
+        blocks = np.array_split(vals, -(-vals.size // _BLOCK_ELEMS)) if self.kind == "raw-count" else ()
+        if any(np.any(r != np.floor(r)) for r in blocks):
             raise DataError("raw-count dissimilarities must be integers")
         if self.kind not in ("raw-count", "normalized", "ensemble"):
             raise ValueError(f"unknown dissimilarity kind: {self.kind!r}")
@@ -261,38 +266,30 @@ def plane_mismatches(
     return counts, compared
 
 
-def mismatch_counts(
-    a: np.ndarray, b: np.ndarray, gap: int | None = None
-) -> tuple[np.ndarray, np.ndarray | int]:
-    """Mismatch counts between every row of ``a`` and every row of ``b``.
+def mismatch_counts(a: np.ndarray, gap: int | None = None) -> tuple[np.ndarray, np.ndarray | int]:
+    """Mismatch counts between every pair of rows of ``a``.
 
     Returns ``(counts, compared)``: ``counts[i, k]`` is the number of
-    columns where ``a[i]`` and ``b[k]`` differ.  With ``gap`` set, columns
+    columns where ``a[i]`` and ``a[k]`` differ.  With ``gap`` set, columns
     where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
     the columns actually compared; without it ``compared`` is the column
-    count.  Both tables are bit-sliced over the joint range of non-gap values
-    (a gap at either end of the span takes no plane, as validity words mask
-    gap cells when there are any) and compared 64 columns per word with
+    count.  The table is bit-sliced over its range of non-gap values (a gap
+    at either end of the span takes no plane, as validity words mask gap
+    cells when there are any) and compared 64 columns per word with
     popcount, in exact integer sums.  ``counts`` and an array ``compared`` are
     float64 tables of those integers, exact below 2**53, so a caller may
-    divide ``counts`` in place.  With ``b is a`` each pair ``i <= k`` is
-    counted once and mirrored.
+    divide ``counts`` in place.  Each pair ``i <= k`` is counted once and mirrored.
     """
     lo, hi = int(a.min()), int(a.max())
-    if b is not a:
-        lo, hi = min(lo, int(b.min())), max(hi, int(b.max()))
     if gap is not None:
         lo, hi = lo + (lo == gap), hi - (hi == gap)
-    planes = max(1, hi - lo).bit_length()
-    pa = bit_planes(a, lo, planes)
-    pb = pa if b is a else bit_planes(b, lo, planes)
-    va = None if gap is None else a != gap
-    vb = va if va is None or b is a else b != gap
-    if va is None or (va.all() and vb.all()):
-        counts = plane_mismatches(pa, pb)[0]
-        return counts, a.shape[1] if va is None else np.full_like(counts, a.shape[1])
-    ma = bit_planes(va, 0, 1)[0]
-    return plane_mismatches(pa, pb, ma, ma if vb is va else bit_planes(vb, 0, 1)[0])
+    packed = bit_planes(a, lo, max(1, hi - lo).bit_length())
+    valid = None if gap is None else a != gap
+    if valid is None or valid.all():
+        counts = plane_mismatches(packed, packed)[0]
+        return counts, a.shape[1] if valid is None else np.full_like(counts, a.shape[1])
+    mask = bit_planes(valid, 0, 1)[0]
+    return plane_mismatches(packed, packed, mask, mask)
 
 
 def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatrix:
@@ -306,7 +303,7 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
     """
     if x.n < 2:
         raise DataError("need at least two rows to form pairwise dissimilarities")
-    counts, compared = mismatch_counts(x.codes, x.codes, x.gap_code)
+    counts, compared = mismatch_counts(x.codes, x.gap_code)
     # a zero on the diagonal of ``compared`` (a row's own non-gap count) is an
     # all-gap row, which shares no position with any other row either
     if x.gap_code is not None and np.any(compared == 0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, hamming, mismatch_counts
+from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, _freeze, hamming, mismatch_counts
 from .hclust import Dendrogram, agglomerate, check_linkage, cut_with_outlier_deferral
 from .rng import substream
 
@@ -39,8 +39,7 @@ class IncidenceMatrix:
         entries = np.ascontiguousarray(np.asarray(self.entries, dtype=np.int64))
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise DataError("incidence matrix must be a non-empty 2-D array")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _freeze(entries))
 
     @property
     def n(self) -> int:
@@ -103,7 +102,7 @@ def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
     Entries are compared within their own column only; the result takes
     values in {0, 1/B, ..., 1} and is exactly symmetric with zero diagonal.
     """
-    counts, _ = mismatch_counts(w.entries, w.entries)
+    counts, _ = mismatch_counts(w.entries)
     counts /= w.B
     np.fill_diagonal(counts, 0.0)
     return DissimilarityMatrix(values=counts, kind="ensemble")

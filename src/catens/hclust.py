@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Clustering, DataError, DissimilarityMatrix, relabel_dense
+from .core import Clustering, DataError, DissimilarityMatrix, _freeze, relabel_dense
 
 LINKAGES = ("SL", "AL", "CL")
 
@@ -60,10 +60,6 @@ class Dendrogram:
         if self.merges and self.merges[-1].size != self.n:
             raise DataError("root size must equal the leaf count")
 
-    @property
-    def heights(self) -> np.ndarray:
-        return np.array([m.height for m in self.merges], dtype=np.float64)
-
     @cached_property
     def leaf_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(order, start, size)``: the leaves in the order that puts every node's members
@@ -79,9 +75,7 @@ class Dendrogram:
             start[m.right] = start[n + t] + size[m.left]
         order = np.empty(n, dtype=np.int64)
         order[start[:n]] = np.arange(n)
-        for arr in (order, start, size):
-            arr.flags.writeable = False
-        return order, start, size
+        return _freeze(order), _freeze(start), _freeze(size)
 
 
 def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:

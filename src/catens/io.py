@@ -175,10 +175,10 @@ def write_newick(path: str | Path, tree: Dendrogram, labels: tuple[str, ...] | N
         handle.write(to_newick(tree, labels) + "\n")
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Flat ``key=value`` config format: one pair per line, ``#`` comments."""
+def load_config(path: str | Path) -> dict[str, str]:
+    """Flat ``key=value`` config file: one pair per line, ``#`` comments."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -187,7 +187,3 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config(Path(path).read_text(encoding="utf-8-sig"))

@@ -7,7 +7,7 @@ empty clusters are reseeded from the point farthest from its current mode among 
 whose cluster keeps another member.  Runs go in lockstep, :func:`kmodes` as a batch of one
 and :func:`en_kmodes` with all ``B``: each iteration packs the modes of the active runs
 once and updates them with one ``bincount``.  A run leaves the active set at its own label
-fixpoint (or ``max_iter``), so ``n_iter`` is counted per run and every run ends as it
+fixpoint (or ``_MAX_ITER``), so ``n_iter`` is counted per run and every run ends as it
 would alone.  A group of runs keeps its update's indices and counts within ``_BLOCK_ELEMS``.
 """
 
@@ -75,7 +75,7 @@ def _update_modes(codes: np.ndarray, labels: np.ndarray, ks: np.ndarray, span: i
     return counts.argmax(axis=2).astype(codes.dtype)
 
 
-def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list, max_iter: int) -> Iterator[KModesState]:
+def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list) -> Iterator[KModesState]:
     codes, span, ks = x.codes, int(x.cardinalities.max()), np.asarray(ks, dtype=np.int64)
     packed = bit_planes(codes, 0, max(1, (span - 1).bit_length()))
     # a group's update indices (n x J per run) and counts (k x J x span) stay within _BLOCK_ELEMS
@@ -86,7 +86,7 @@ def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list, max_iter: int
         modes = np.concatenate([codes[r.choice(x.n, size=c, replace=False)] for r, c in zip(rngs[g:], k)])
         while True:
             labels, dist = _assign(codes, packed, modes, k)
-            done = (labels == old).all(axis=1) | (it == max_iter)
+            done = (labels == old).all(axis=1) | (it == _MAX_ITER)
             end = np.cumsum(k)
             for i in np.flatnonzero(done):
                 states[ids[i]] = KModesState(modes[end[i] - k[i]:end[i]], labels[i], int(dist[i].sum()), it)
@@ -97,20 +97,15 @@ def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list, max_iter: int
         yield from states
 
 
-def kmodes(
-    x: CategoricalMatrix,
-    k: int,
-    seed: int | np.random.Generator = 0,
-    max_iter: int = _MAX_ITER,
-) -> KModesState:
-    """K-modes with random initial modes drawn from the observations.
+def kmodes(x: CategoricalMatrix, k: int, seed: int = 0) -> KModesState:
+    """K-modes with random initial modes drawn from the observations by ``substream(seed)``.
 
-    Stops at a label fixpoint or after ``max_iter`` iterations; the cost
+    Stops at a label fixpoint or after ``_MAX_ITER`` iterations; the cost
     (total Hamming distance of points to their assigned modes) never
     increases across iterations.
     """
     _check(x, k)
-    return next(_runs(x, [k], [substream(seed)], max_iter))
+    return next(_runs(x, [k], [substream(seed)]))
 
 
 def en_kmodes(
@@ -128,5 +123,5 @@ def en_kmodes(
     """
     _check(x, k_final)
     sizes = draw_sizes(EnsembleConfig(B=B, seed=seed), x.n)
-    runs = _runs(x, sizes, [substream(seed, b) for b in range(B)], _MAX_ITER)
+    runs = _runs(x, sizes, [substream(seed, b) for b in range(B)])
     return recluster(IncidenceMatrix(np.stack([r.labels for r in runs], axis=1)), "AL", k_final)[0]

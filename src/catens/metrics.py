@@ -101,20 +101,8 @@ def format_cell(mean: float, sd: float) -> str:
 
 def format_results_table(results: Mapping[str, Mapping[str, tuple[float, float]]]) -> str:
     """TSV table with one row per method and one ``mean(sd)`` cell per
-    dataset column, columns in order of first appearance."""
-    methods = list(results)
-    cols: list[str] = []
-    for per_method in results.values():
-        for name in per_method:
-            if name not in cols:
-                cols.append(name)
+    dataset column; every method has the same columns, in the order of the first."""
+    cols = list(next(iter(results.values())))
     lines = ["\t".join(["method", *cols])]
-    for method in methods:
-        cells = []
-        for name in cols:
-            if name in results[method]:
-                cells.append(format_cell(*results[method][name]))
-            else:
-                cells.append("")
-        lines.append("\t".join([method, *cells]))
+    lines += ["\t".join([method, *(format_cell(*cells[c]) for c in cols)]) for method, cells in results.items()]
     return "\n".join(lines) + "\n"

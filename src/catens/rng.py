@@ -18,16 +18,10 @@ def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def substream(seed: int | np.random.Generator | None, *key: int) -> np.random.Generator:
-    """Generator for the substream identified by ``(seed, *key)``.
-
-    A ``Generator`` passed as ``seed`` is returned unchanged (the key is
-    ignored), which lets library functions accept either raw seeds or
-    pre-built streams.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed_sequence(0 if seed is None else seed, *key))
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Generator for the substream identified by ``(seed, *key)``; every
+    random draw in the package starts here, from an integer seed."""
+    return np.random.default_rng(seed_sequence(seed, *key))
 
 
 def child_seed(seed: int, *key: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CategoricalMatrix, Clustering, DataError
+from .core import CategoricalMatrix, Clustering, DataError, _freeze
 from .ensemble import EnsembleConfig, IncidenceMatrix, ensemble_cluster, recluster, size_range
 from .hclust import Dendrogram
 from .rng import child_seed, substream
@@ -58,9 +58,7 @@ class SubspaceSet:
             if arr.min() < 0 or arr.max() >= self.source_J:
                 raise DataError("subset indices must lie in [0, source_J)")
             # narrowed only now, so an out-of-range index has raised above and never wraps
-            arr = np.ascontiguousarray(arr, dtype=dtype)
-            arr.flags.writeable = False
-            frozen.append(arr)
+            frozen.append(_freeze(np.ascontiguousarray(arr, dtype=dtype)))
         object.__setattr__(self, "subsets", tuple(frozen))
 
     @property

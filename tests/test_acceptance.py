@@ -66,7 +66,7 @@ def test_criterion_1_agglomeration_oracle():
         for linkage in ("SL", "AL", "CL"):
             tree = agglomerate(d, linkage)
             merges, cuts = brute_force_agglomerate(d.values, linkage)
-            assert np.allclose(tree.heights, [h for h, _ in merges], rtol=1e-9, atol=1e-12)
+            assert np.allclose([m.height for m in tree.merges], [h for h, _ in merges], rtol=1e-9, atol=1e-12)
             for k in range(1, n + 1):
                 assert cut(tree, k).labels.tolist() == cuts[k].tolist()
             checked += 1

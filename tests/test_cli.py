@@ -402,6 +402,12 @@ class TestExperimentCommand:
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("HCAL",), design="D1", seq_sizes=(25, 25))
 
+    def test_non_integer_seq_sizes_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--methods", "HCAL"])
+        assert err.value.code == 1
+        assert "--seq-sizes: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
+
     def test_input_is_read_once(self, tmp_path, monkeypatch):
         data = tmp_path / "d.csv"
         data.write_text("a,a,0\na,a,0\nb,b,1\nb,b,1\n", encoding="utf-8")
@@ -504,6 +510,14 @@ class TestSimulateCommand:
     def test_seq_flags_need_seq_design(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--design", "D1", "--seq-j", "5", "--output", str(out)]) == 1
+        assert not out.exists()
+
+    def test_non_integer_seq_sizes_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--output", str(out)])
+        assert err.value.code == 1
+        assert "--seq-sizes: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -635,6 +649,26 @@ class TestConfigFile:
         ])
         assert code == 0
         assert nwk.read_text().endswith(";\n")
+
+
+    @pytest.mark.parametrize("second", [
+        ["--config", "b.cfg"], ["--config=b.cfg"], ["--conf", "b.cfg"], ["--config", "nested.cfg"],
+    ])
+    @pytest.mark.parametrize("first", [["--config", "a.cfg"], ["--config=a.cfg"]])
+    def test_a_config_that_would_go_unread_is_usage_error(self, tmp_path, capsys, monkeypatch, first, second):
+        # b.cfg alone fails the run, so a second (or abbreviated, or nested)
+        # --config must be refused, not left unread
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "four.csv").write_text("v0,v1\na,a\na,b\nb,b\nb,a\n", encoding="utf-8")
+        (tmp_path / "a.cfg").write_text("seed=1\n", encoding="utf-8")
+        (tmp_path / "b.cfg").write_text("ensemble-size=0\n", encoding="utf-8")
+        (tmp_path / "nested.cfg").write_text("config=b.cfg\n", encoding="utf-8")
+        argv = ["cluster", "four.csv", "--method", "ENAL", "--k", "2", "--header", "--output", "l.csv"]
+        assert main(argv + ["--config", "b.cfg"]) == 1
+        assert "ensemble size B must be >= 1" in capsys.readouterr().err
+        assert main(argv + first) == 0
+        assert main(argv + first + second) == 1
+        assert "--config may be given once, spelled in full" in capsys.readouterr().err
 
 
 class TestParser:

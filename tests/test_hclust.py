@@ -66,11 +66,11 @@ class TestWorkedExample:
 
     def test_complete_linkage(self):
         t = agglomerate(THREE_POINT, "CL")
-        assert t.heights.tolist() == [1.0, 3.0]
+        assert [m.height for m in t.merges] == [1.0, 3.0]
 
     def test_average_linkage(self):
         t = agglomerate(THREE_POINT, "AL")
-        assert t.heights.tolist() == [1.0, 2.5]
+        assert [m.height for m in t.merges] == [1.0, 2.5]
 
     def test_two_points_single_merge(self):
         d = matrix([[0, 0.4], [0.4, 0]])
@@ -138,7 +138,7 @@ class TestOracleAgreement:
             d = random_matrix(rng, n)
             t = agglomerate(d, linkage)
             merges, cuts = brute_force_agglomerate(d.values, linkage)
-            assert np.allclose(t.heights, [h for h, _ in merges], rtol=1e-9, atol=1e-12)
+            assert np.allclose([m.height for m in t.merges], [h for h, _ in merges], rtol=1e-9, atol=1e-12)
             for k in range(1, n + 1):
                 assert cut(t, k).labels.tolist() == cuts[k].tolist()
 
@@ -147,7 +147,7 @@ class TestOracleAgreement:
         for linkage in ("SL", "AL", "CL"):
             for _ in range(10):
                 t = agglomerate(random_matrix(rng, int(rng.integers(3, 14))), linkage)
-                h = t.heights
+                h = [m.height for m in t.merges]
                 assert np.all(np.diff(h) >= -1e-12)
 
     @given(
@@ -208,14 +208,14 @@ class TestTieBreak:
     def test_tied_integer_distances_match_oracle(self, d, linkage):
         t = agglomerate(d, linkage)
         merges, cuts = brute_force_agglomerate(d.values, linkage)
-        assert t.heights.tolist() == [h for h, _ in merges]
+        assert [m.height for m in t.merges] == [h for h, _ in merges]
         for k in range(1, d.n + 1):
             assert cut(t, k).labels.tolist() == cuts[k].tolist()
 
     @given(tied_matrices(), st.sampled_from(["SL", "AL", "CL"]))
     def test_tied_heights_monotone_and_cuts_nested(self, d, linkage):
         t = agglomerate(d, linkage)
-        assert np.all(np.diff(t.heights) >= -1e-12)
+        assert np.all(np.diff([m.height for m in t.merges]) >= -1e-12)
         for k in range(1, d.n):
             coarse, fine = cut(t, k).labels, cut(t, k + 1).labels
             for g in np.unique(fine):

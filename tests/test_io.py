@@ -202,13 +202,16 @@ class TestExports:
 
 
 class TestConfigFormat:
-    def test_parse(self):
-        cfg = catio.parse_config("# comment\nmethod=ENAL\n\nseed = 7\n")
-        assert cfg == {"method": "ENAL", "seed": "7"}
+    def test_parse(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\nmethod=ENAL\n\nseed = 7\n", encoding="utf-8")
+        assert catio.load_config(path) == {"method": "ENAL", "seed": "7"}
 
-    def test_bad_line_rejected(self):
-        with pytest.raises(DataError):
-            catio.parse_config("not a pair\n")
+    def test_bad_line_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("not a pair\n", encoding="utf-8")
+        with pytest.raises(DataError, match="config line 1"):
+            catio.load_config(path)
 
     def test_format_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"

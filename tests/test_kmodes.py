@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from catens.core import CategoricalMatrix, DataError, encode, relabel_dense
-from catens.kmodes import _runs, _update_modes, en_kmodes, kmodes
+from catens.kmodes import _MAX_ITER, _runs, _update_modes, en_kmodes, kmodes
 from catens.metrics import classification_rate
 from catens.rng import substream
 
@@ -56,7 +56,10 @@ class TestKModes:
         # trajectory, so the cost sequence must be nonincreasing
         rng = substream(42)
         x = random_table(rng, 20, 8)
-        costs = [kmodes(x, 4, seed=7, max_iter=m).cost for m in range(1, 8)]
+        costs = []
+        for m in range(1, 8):
+            with mock.patch.object(importlib.import_module("catens.kmodes"), "_MAX_ITER", m):
+                costs.append(kmodes(x, 4, seed=7).cost)
         assert all(a >= b for a, b in zip(costs, costs[1:]))
 
     def test_reseeding_leaves_no_cluster_empty(self):
@@ -121,12 +124,14 @@ class TestLockstep:
         n, J, card, B = (int(rng.integers(1, hi)) for hi in (13, 7, 4, 7))
         x = CategoricalMatrix(rng.integers(0, card, size=(n, J), dtype=np.int32), np.full(J, card))
         ks = np.where(rng.random(B) < 0.5, n - rng.integers(0, min(n, 3), B), rng.integers(1, n + 1, B))
-        with mock.patch.object(importlib.import_module("catens.kmodes"), "_BLOCK_ELEMS", cap):
-            states = list(_runs(x, ks, [substream(seed, b) for b in range(B)], max_iter))
-        single = kmodes(x, int(ks[0]), seed=substream(seed, 0), max_iter=max_iter)
+        module = importlib.import_module("catens.kmodes")
+        with mock.patch.object(module, "_BLOCK_ELEMS", cap), mock.patch.object(module, "_MAX_ITER", max_iter):
+            states = list(_runs(x, ks, [substream(seed, b) for b in range(B)]))
+            single = kmodes(x, int(ks[0]), seed=seed)
         want = [naive_kmodes(x.codes, int(k), substream(seed, b), max_iter) for b, k in enumerate(ks)]
+        want.append(naive_kmodes(x.codes, int(ks[0]), substream(seed), max_iter))
         got = [(s.labels.tolist(), s.modes.tolist(), s.cost, s.n_iter) for s in [*states, single]]
-        assert got == [*want, want[0]]
+        assert got == want
 
 
 class TestEnKModes:
@@ -135,7 +140,7 @@ class TestEnKModes:
         x = random_table(rng, 12, 5)
         ensembled = en_kmodes(x, 3, B=1, seed=9)
         size = int(substream(9).integers(2, int(np.ceil(np.sqrt(12))) + 1, size=1)[0])
-        single = relabel_dense(kmodes(x, size, seed=substream(9, 0)).labels)
+        single = relabel_dense(naive_kmodes(x.codes, size, substream(9, 0), _MAX_ITER)[0])
         # a one-member ensemble has distances in {0,1}: cutting at the run's
         # own size recovers that run's grouping
         if single.K == 3:
@@ -175,7 +180,7 @@ class TestEnKModes:
             noise = rng.random((2 * n_half, J)) < flip
             codes = (proto[truth] ^ noise).astype(np.int32)
             x = CategoricalMatrix(codes, np.full(J, 2, dtype=np.int64))
-            st = kmodes(x, 2, seed=substream(48, rep))
+            st = next(_runs(x, [2], [substream(48, rep)]))  # kmodes' one run, from this stream
             single_crs.append(classification_rate(relabel_dense(st.labels), truth))
             labels = en_kmodes(x, 2, B=15, seed=rep)
             ensemble_crs.append(classification_rate(labels, truth))

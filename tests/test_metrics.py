@@ -138,12 +138,12 @@ class TestTableFormatting:
         assert format_cell(0.884, 0.031) == "0.88(0.03)"
 
     def test_table_layout(self):
+        # every method has the same columns, in the first method's order
         results = {
             "ENAL": {"D10": (0.96, 0.02), "D1": (0.88, 0.0)},
-            "HCAL": {"D10": (0.96, 0.0)},
+            "HCAL": {"D1": (0.5, 0.125), "D10": (0.96, 0.0)},
         }
         text = format_results_table(results)
+        assert text.endswith("\n")
         lines = text.rstrip("\n").split("\n")
-        assert lines[0] == "method\tD10\tD1"
-        assert lines[1] == "ENAL\t0.96(0.02)\t0.88"
-        assert lines[2] == "HCAL\t0.96\t"
+        assert lines == ["method\tD10\tD1", "ENAL\t0.96(0.02)\t0.88", "HCAL\t0.96\t0.50(0.12)"]
