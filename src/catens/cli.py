@@ -4,7 +4,7 @@ Subcommands: ``cluster`` (one dataset in, labels and optional Newick out),
 ``experiment`` (replicated method comparison with a mean(sd) results
 table), and ``simulate`` (export generated datasets).  The method name alone
 picks the pipeline; WOR and WR wrap ENAL in random-subspace ensembling.  A
-flag that no method of the run reads (see ``READS``) is refused.  Exit
+flag that no part of the run reads (see ``READS``) is refused.  Exit
 codes: 0 on success, 1 for usage errors (or out of memory), 2 for data errors.
 """
 
@@ -32,13 +32,17 @@ from .subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 HC_METHODS = {"HCSL": "SL", "HCAL": "AL", "HCCL": "CL"}
 EN_METHODS = {"ENSL": "SL", "ENAL": "AL", "ENCL": "CL"}
 METHODS = (*HC_METHODS, *EN_METHODS, "KMODES", "ENKM", "WOR", "WR")
-# which of the refusable options (``_FLAGS``) each method reads; ``seed`` and
-# ``normalize`` are never refused, as --save-dissimilarity reads ``normalize``
+# the refusable flags (by dest) that each part of a run reads: its methods, its
+# input file, its simulated source and its output; a part not listed reads none.
+# ``seed`` and ``normalize`` are never refused, as --save-dissimilarity reads ``normalize``
 READS = {
-    **dict.fromkeys(HC_METHODS, {"alpha"}), **dict.fromkeys(EN_METHODS, {"B", "alpha"}),
-    "KMODES": set(), "ENKM": {"B"}, "WOR": {"B", "alpha", "blocks"}, "WR": {"B", "alpha", "blocks"},
+    **dict.fromkeys(HC_METHODS, {"alpha", "newick"}), **dict.fromkeys(EN_METHODS, {"B", "alpha", "newick"}),
+    "KMODES": set(), "ENKM": {"B"}, **dict.fromkeys(("WOR", "WR"), {"B", "alpha", "blocks", "newick"}),
+    "FASTA input": {"format", "gap_symbol"},
+    "CSV input": {"format", "gap_symbol", "header", "delimiter", "id_column", "truth_column"},
+    "--seq-design": {"seq_j", "seq_sizes"}, "FASTA output of --seq-design": {"truth_out"},
+    "CSV output": {"delimiter"},
 }
-_FLAGS = {"B": "--ensemble-size", "alpha": "--alpha", "blocks": "--blocks"}
 
 SEQ_DESIGNS = {"low-noise": SEQ_LOW_NOISE, "high-noise": SEQ_HIGH_NOISE}
 
@@ -167,24 +171,18 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, dict[str, tuple[float, flo
     return results
 
 
+def _input_kind(args: argparse.Namespace) -> str:
+    return args.format or ("fasta" if Path(args.input).suffix.lower() in catio.FASTA_SUFFIXES else "csv")
+
+
 def _load_input(args: argparse.Namespace) -> tuple[CategoricalMatrix, Clustering | None]:
     """The table named by ``args.input``, read as the I/O flags say."""
-    suffix = Path(args.input).suffix.lower()
-    kind = args.format or ("fasta" if suffix in catio.FASTA_SUFFIXES else "csv")
-    if kind == "fasta":
-        csv_only = {"header": False, "delimiter": ",", "id_column": None, "truth_column": None}
-        if flags := ["--" + f.replace("_", "-") for f, v in csv_only.items() if getattr(args, f) != v]:
-            raise ValueError(f"only CSV input reads {', '.join(flags)}")
+    if _input_kind(args) == "fasta":
         gaps = catio.DEFAULT_GAP_SYMBOLS if args.gap_symbol is None else (args.gap_symbol,)
         return catio.load_fasta_matrix(args.input, gap_symbols=gaps), None
-    return catio.read_categorical_csv(
-        args.input,
-        delimiter=args.delimiter,
-        header=args.header,
-        gap_symbol=args.gap_symbol,
-        id_column=args.id_column,
-        truth_column=args.truth_column,
-    )
+    return catio.read_categorical_csv(args.input, delimiter=args.delimiter, header=args.header,
+                                      gap_symbol=args.gap_symbol, id_column=args.id_column,
+                                      truth_column=args.truth_column)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,6 +212,12 @@ def _sizes(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _noise(text: str) -> tuple[int, ...]:
+    if len(spec := _sizes(text)) != 3:
+        raise argparse.ArgumentTypeError(f"expected N,J,S integers, got {text!r}")
+    return spec
 
 
 def _add_source_flags(p: argparse.ArgumentParser, other: str, **kwargs) -> None:
@@ -261,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="replicated method comparison")
     _add_source_flags(pe, "--input", help="CSV file with a truth column")
-    pe.add_argument("--methods", required=True, help="comma-separated method names")
+    pe.add_argument("--methods", required=True, help="comma-separated method names",
+                    type=lambda text: tuple(m.strip().upper() for m in text.split(",") if m.strip()))
     pe.add_argument("--replicates", type=int, default=1)
     pe.add_argument("--k", type=int, help="final cluster count (default: from design/truth)")
     pe.add_argument("--output", help="write the TSV results table here")
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(pe)
 
     ps = sub.add_parser("simulate", help="generate and export a dataset")
-    _add_source_flags(ps, "--noise", metavar="N,J,S", help="uniform noise table")
+    _add_source_flags(ps, "--noise", type=_noise, metavar="N,J,S", help="uniform noise table")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--replicate", type=int, default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination (.fasta: not with --design)")
@@ -303,23 +308,31 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
-def _options(args: argparse.Namespace, methods: tuple[str, ...]) -> MethodOptions:
-    """The method flags as options; one set away from its default that no
-    method of the run reads is a usage error."""
-    opts = MethodOptions(**{f.name: getattr(args, f.name) for f in fields(MethodOptions)})
-    read = set().union(*(READS.get(m.upper(), set()) for m in methods))
-    for f in fields(MethodOptions):
-        if f.name in _FLAGS and f.name not in read and getattr(opts, f.name) != f.default:
-            raise ValueError(f"{_FLAGS[f.name]} is not read by {', '.join(methods)}")
-    return opts
+def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """A flag of ``READS`` that no part of the run reads is a usage error,
+    unless it holds its default, so one config file can serve every run."""
+    parts = [f"--{s.replace('_', '-')}" for s in ("design", "seq_design", "noise") if getattr(args, s, None)]
+    if args.command == "simulate":
+        fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
+        parts.append(("FASTA output of --seq-design" if args.seq_design else "FASTA output")
+                     if fasta else "CSV output")
+    else:
+        methods = [args.method.upper()] if args.command == "cluster" else list(args.methods)
+        parts = [*methods, *(parts or [f"{_input_kind(args).upper()} input"])]
+    unread = set().union(*READS.values()).difference(*(READS.get(p, ()) for p in parts))
+    command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    for action in command._actions:
+        if action.dest in unread and getattr(args, action.dest) != action.default:
+            raise ValueError(f"{action.option_strings[0]} is not read by {', '.join(parts)}")
+
+
+def _options(args: argparse.Namespace) -> MethodOptions:
+    return MethodOptions(**{f.name: getattr(args, f.name) for f in fields(MethodOptions)})
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.newick and args.method.upper() in ("KMODES", "ENKM"):
-        raise ValueError(f"method {args.method} does not produce a dendrogram")
-    opts = _options(args, (args.method,))
     x, truth = _load_input(args)
-    labels, tree = run_method(args.method, x, args.k, opts)
+    labels, tree = run_method(args.method, x, args.k, _options(args))
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
     catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
     if args.newick:
@@ -332,10 +345,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
-    options = _options(args, methods)
     spec = ExperimentSpec(
-        methods=methods,
+        methods=args.methods,
         replicates=args.replicates,
         k_final=args.k,
         seed=args.seed,
@@ -344,7 +355,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seq_j=args.seq_j,
         seq_sizes=args.seq_sizes,
         data=(Path(args.input).name, *_load_input(args)) if args.input else None,
-        options=options,
+        options=_options(args),
         workers=args.workers,
     )
     results = run_experiment(spec)
@@ -358,22 +369,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output)
     fasta = out.suffix.lower() in catio.FASTA_SUFFIXES
-    if not args.seq_design and (args.seq_j, args.seq_sizes) != (None, None):
-        raise ValueError("--seq-j and --seq-sizes apply only to --seq-design")
     if fasta and args.design:
         raise ValueError("FASTA holds one character per position, but --design codes run up to 20")
-    if args.truth_out and not (fasta and args.seq_design):
-        raise ValueError("--truth-out applies only to FASTA output of --seq-design")
-    if fasta and args.delimiter != ",":
-        raise ValueError("--delimiter applies only to CSV output")
     if args.noise is None:
         x, truth = _draw(args.design, args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
     else:
-        try:
-            n, j, s = (int(v) for v in args.noise.split(","))
-        except ValueError:
-            raise ValueError("--noise expects N,J,S integers") from None
-        x, truth = gen_noise(n, j, s, seed=args.seed, replicate=args.replicate), None
+        x, truth = gen_noise(*args.noise, seed=args.seed, replicate=args.replicate), None
     # the generators' symbols: nucleotides for --seq-design, the code itself otherwise
     table = (np.array(NUCLEOTIDES)[x.codes] if args.seq_design else x.codes.astype(str)).tolist()
     if not fasta:
@@ -395,11 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_expand_config(argv))
         if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
             raise ValueError("--config may be given once, spelled in full")
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        return _cmd_simulate(args)
+        _refuse_unread(parser, args)
+        commands = {"cluster": _cmd_cluster, "experiment": _cmd_experiment, "simulate": _cmd_simulate}
+        return commands[args.command](args)
     except (DataError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"catens: data error: {exc}\n")
         return 2

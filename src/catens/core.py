@@ -133,7 +133,10 @@ class DissimilarityMatrix:
         lo, hi = vals.min(), vals.max()  # NaN and +-inf each reach one of the two
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("dissimilarity matrix contains NaN or infinite entries")
-        if not np.array_equal(vals, vals.T):
+        # both checks below read rows of about _BLOCK_ELEMS cells at a time, so their
+        # temporaries stay small; symmetry compares slice views, which copy nothing
+        step = max(1, _BLOCK_ELEMS // len(vals))
+        if not all(np.array_equal(vals[s:s + step], vals[:, s:s + step].T) for s in range(0, len(vals), step)):
             raise DataError("dissimilarity matrix must be symmetric")
         if np.any(np.diagonal(vals) != 0.0):
             raise DataError("dissimilarity matrix must have a zero diagonal")
@@ -141,7 +144,6 @@ class DissimilarityMatrix:
             raise DataError("dissimilarity values must be non-negative")
         if self.kind in ("normalized", "ensemble") and hi > 1.0:
             raise DataError(f"{self.kind} dissimilarities must lie in [0, 1]")
-        # rows of about _BLOCK_ELEMS cells, so the check's temporaries stay small
         blocks = np.array_split(vals, -(-vals.size // _BLOCK_ELEMS)) if self.kind == "raw-count" else ()
         if any(np.any(r != np.floor(r)) for r in blocks):
             raise DataError("raw-count dissimilarities must be integers")

@@ -89,12 +89,8 @@ def wor_subspaces(J: int, blocks: int | None = None, seed: int = 0) -> SubspaceS
             step = int(rng.integers(1, remaining + 1))
             lengths.append(step)
             remaining -= step
-    subsets = []
-    start = 0
-    for length in lengths:
-        subsets.append(np.sort(perm[start:start + length]))
-        start += length
-    return SubspaceSet(subsets=tuple(subsets), source_J=J)
+    subsets = tuple(np.sort(part) for part in np.split(perm, np.cumsum(lengths)[:-1]))
+    return SubspaceSet(subsets=subsets, source_J=J)
 
 
 def wr_subspaces(J: int, M: int | None = None, seed: int = 0) -> SubspaceSet:

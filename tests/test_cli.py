@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import re
@@ -271,7 +272,27 @@ class TestClusterCommand:
         fasta = tmp_path / "aln.fasta"
         catio.write_fasta(fasta, [("a", "ACGT"), ("b", "ACGA"), ("c", "TTGA")])
         assert main(["cluster", str(fasta), "--method", "HCAL", "--k", "2", *flag]) == 1
-        assert f"only CSV input reads {flag[0]}" in capsys.readouterr().err
+        assert f"{flag[0]} is not read by HCAL, FASTA input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocks.csv", "--method", "KMODES", "--newick", "t.nwk"],
+            ["blocks.csv", "--method", "ENKM", "--alpha", "0.1"],
+            ["aln.fasta", "--method", "HCAL", "--truth-column", "2"],
+        ],
+        ids=["newick-kmodes", "alpha-enkm", "truth-column-fasta"],
+    )
+    def test_refused_flag_ends_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the input of a refused run")
+
+        monkeypatch.setattr(catio, "read_categorical_csv", no_read)
+        monkeypatch.setattr(catio, "load_fasta_matrix", no_read)
+        monkeypatch.chdir(tmp_path)
+        assert main(["cluster", *argv, "--k", "2", "--output", "labels.csv"]) == 1
+        assert f"{argv[3]} is not read by {argv[2]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_multi_character_fasta_gap_symbol_is_usage_error(self, tmp_path, capsys):
         fasta = tmp_path / "aln.fasta"
@@ -396,6 +417,27 @@ class TestExperimentCommand:
         argv = ["experiment", "--design", "D10", "--alpha", "0.05", "--methods"]
         assert main(argv + ["KMODES"]) == 1
         assert main(argv + ["HCAL,KMODES"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--header"], ["--delimiter", ";"], ["--gap-symbol", "-"], ["--format", "fasta"],
+         ["--id-column", "3"], ["--truth-column", "2"]],
+        ids=lambda flag: flag[0],
+    )
+    @pytest.mark.parametrize(
+        "source", [["--design", "D10"], ["--seq-design", "low-noise", "--seq-j", "200"]], ids=["design", "seq"]
+    )
+    def test_io_flag_on_a_simulated_source_is_usage_error(self, tmp_path, capsys, source, flag):
+        out = tmp_path / "table.tsv"
+        assert main(["experiment", *source, "--methods", "HCAL", "--output", str(out), *flag]) == 1
+        assert f"{flag[0]} is not read by HCAL, {source[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_flag_on_fasta_input_is_usage_error(self, tmp_path, capsys):
+        fasta = tmp_path / "aln.fasta"
+        catio.write_fasta(fasta, [("a", "ACGT"), ("b", "ACGA"), ("c", "TTGA")])
+        assert main(["experiment", "--input", str(fasta), "--methods", "HCAL,ENAL", "--header"]) == 1
+        assert "--header is not read by HCAL, ENAL, FASTA input" in capsys.readouterr().err
 
     def test_seq_flags_need_seq_design(self):
         assert main(["experiment", "--design", "D1", "--methods", "HCAL", "--seq-j", "5"]) == 1
@@ -536,6 +578,26 @@ class TestSimulateCommand:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--design", "D1", "--output", "sim.csv", "--seq-j", "5"], "--seq-j"),
+            (["--noise", "6,4,3", "--output", "sim.fasta", "--truth-out", "truth.csv"], "--truth-out"),
+            (["--seq-design", "low-noise", "--output", "sim.fasta", "--delimiter", ";"], "--delimiter"),
+        ],
+        ids=["seq-j-design", "truth-out-noise", "delimiter-fasta"],
+    )
+    def test_refused_flag_ends_before_the_draw(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a table for a refused run")
+
+        for generator in ("gen_lowdim", "gen_highdim", "gen_noise"):
+            monkeypatch.setattr(cli, generator, no_draw)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", *argv]) == 1
+        assert f"{flag} is not read by {argv[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fasta_of_a_design_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a table for an output that cannot hold it")
@@ -554,9 +616,13 @@ class TestSimulateCommand:
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_noise_spec_is_usage_error(self, tmp_path):
+    def test_bad_noise_spec_is_usage_error(self, tmp_path, capsys):
         # a table with no rows or no columns is a bad request, not bad data
-        for spec in ("6,4", "0,3,2", "3,0,2"):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")])
+        assert err.value.code == 1
+        assert "argument --noise: expected N,J,S integers, got '6,4'" in capsys.readouterr().err
+        for spec in ("0,3,2", "3,0,2"):
             assert main(["simulate", "--noise", spec, "--output", str(tmp_path / "x.csv")]) == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -676,3 +742,20 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["cluster"])  # missing required flags
         assert err.value.code == 1
+
+    def test_every_flag_says_who_reads_it(self):
+        # a flag is either read by every run of its command or listed in READS
+        # under the parts of a run that read it, so the unread ones can be refused
+        always = {
+            "help", "config", "seed", "normalize", "k", "output", "method", "methods", "save_dissimilarity",
+            "replicates", "workers", "replicate", "design", "seq_design", "input", "noise",
+        }
+        refusable = set().union(*cli.READS.values())
+        assert not refusable & always
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = set()
+        for name, command in commands.items():
+            for action in command._actions:
+                dests.add(action.dest)
+                assert not action.option_strings or action.dest in refusable | always, (name, action.dest)
+        assert refusable <= dests

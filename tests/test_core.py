@@ -561,8 +561,7 @@ class TestDissimilarityMatrix:
     def test_integrality_check_runs_in_row_blocks(self):
         # n * n is about eleven times the block cap: one floor copy of the table
         # and its comparison would take 1.125 n^2 float64; the blocked check stays
-        # near the symmetry check's n x n bool (0.125).  A fraction in the last
-        # row is still found.
+        # well under that.  A fraction in the last row is still found.
         n = 1200
         upper = np.triu(substream(37).integers(0, 50, size=(n, n)), 1).astype(np.float64)
         vals = upper + upper.T
@@ -577,6 +576,25 @@ class TestDissimilarityMatrix:
         bad[-1, -2] = bad[-2, -1] = 0.5
         with pytest.raises(DataError, match="raw-count dissimilarities must be integers"):
             DissimilarityMatrix(bad, kind="raw-count")
+
+    def test_symmetry_check_runs_in_row_blocks(self):
+        # comparing the table with its transpose in one piece takes an n x n bool
+        # (0.125 n^2 float64); row blocks against the matching column blocks stay
+        # near 0.017.  An asymmetry within one row block (the last full one) is found.
+        n = 1200
+        upper = np.triu(substream(38).random((n, n)), 1)
+        vals = upper + upper.T
+        tracemalloc.start()
+        try:
+            DissimilarityMatrix(vals, kind="normalized")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * vals.nbytes
+        bad = vals.copy()
+        bad[-2, -3] /= 2
+        with pytest.raises(DataError, match="dissimilarity matrix must be symmetric"):
+            DissimilarityMatrix(bad)
 
 
 class TestClustering:
