@@ -214,6 +214,12 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _noise(text: str) -> tuple[int, ...]:
     if len(spec := _sizes(text)) != 3:
         raise argparse.ArgumentTypeError(f"expected N,J,S integers, got {text!r}")
@@ -239,7 +245,7 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help=f"small-cluster deferral fraction (default {default.alpha:g}; HC and EN methods, WOR, WR)")
     p.add_argument("--blocks", type=int, metavar="M",
                    help="subspace count (WOR, WR; WR default 200, WOR default random lengths)")
-    p.add_argument("--seed", type=int, default=default.seed,
+    p.add_argument("--seed", type=_non_negative, default=default.seed,
                    help=f"RNG seed (default {default.seed}); allowed with every method, "
                         "though HC methods draw none")
     p.add_argument("--normalize", action="store_true",
@@ -276,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="generate and export a dataset")
     _add_source_flags(ps, "--noise", type=_noise, metavar="N,J,S", help="uniform noise table")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--replicate", type=int, default=0)
+    ps.add_argument("--seed", type=_non_negative, default=0)
+    ps.add_argument("--replicate", type=_non_negative, default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination (.fasta: not with --design)")
     ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output of --seq-design)")
     ps.add_argument("--delimiter", type=_one_char, default=",", help="CSV output delimiter (default ',')")
@@ -310,7 +316,8 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """A flag of ``READS`` that no part of the run reads is a usage error,
-    unless it holds its default, so one config file can serve every run."""
+    unless it holds its default, so one config file can serve every run.
+    An unknown method, which ``READS`` cannot name, is reported first."""
     parts = [f"--{s.replace('_', '-')}" for s in ("design", "seq_design", "noise") if getattr(args, s, None)]
     if args.command == "simulate":
         fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
@@ -318,12 +325,25 @@ def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
                      if fasta else "CSV output")
     else:
         methods = [args.method.upper()] if args.command == "cluster" else list(args.methods)
+        if unknown := [m for m in methods if m not in METHODS]:
+            raise ValueError(f"unknown method {unknown[0]!r}; expected one of {', '.join(METHODS)}")
         parts = [*methods, *(parts or [f"{_input_kind(args).upper()} input"])]
     unread = set().union(*READS.values()).difference(*(READS.get(p, ()) for p in parts))
     command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
     for action in command._actions:
         if action.dest in unread and getattr(args, action.dest) != action.default:
             raise ValueError(f"{action.option_strings[0]} is not read by {', '.join(parts)}")
+
+
+def _refuse_before_io(args: argparse.Namespace) -> None:
+    """Data errors that the flags alone show, raised before any input is read or
+    output written: a file to be written into a missing directory, and an
+    ``experiment`` on input without truth labels to score against."""
+    for dest in ("output", "newick", "save_dissimilarity", "truth_out"):
+        if (path := getattr(args, dest, None)) and not Path(path).parent.is_dir():
+            raise DataError(f"--{dest.replace('_', '-')}: {str(Path(path).parent)!r} is not a directory")
+    if args.command == "experiment" and args.input and (_input_kind(args) == "fasta" or args.truth_column is None):
+        raise DataError("experiment --input needs truth labels: a CSV file with --truth-column")
 
 
 def _options(args: argparse.Namespace) -> MethodOptions:
@@ -397,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
             raise ValueError("--config may be given once, spelled in full")
         _refuse_unread(parser, args)
+        _refuse_before_io(args)
         commands = {"cluster": _cmd_cluster, "experiment": _cmd_experiment, "simulate": _cmd_simulate}
         return commands[args.command](args)
     except (DataError, OSError, UnicodeDecodeError) as exc:

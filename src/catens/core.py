@@ -134,9 +134,10 @@ class DissimilarityMatrix:
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("dissimilarity matrix contains NaN or infinite entries")
         # both checks below read rows of about _BLOCK_ELEMS cells at a time, so their
-        # temporaries stay small; symmetry compares slice views, which copy nothing
+        # temporaries stay small; symmetry compares slice views, which copy nothing, and
+        # reads each pair once: a strip's rows right of column s against its columns below
         step = max(1, _BLOCK_ELEMS // len(vals))
-        if not all(np.array_equal(vals[s:s + step], vals[:, s:s + step].T) for s in range(0, len(vals), step)):
+        if not all(np.array_equal(vals[s:s + step, s:], vals[s:, s:s + step].T) for s in range(0, len(vals), step)):
             raise DataError("dissimilarity matrix must be symmetric")
         if np.any(np.diagonal(vals) != 0.0):
             raise DataError("dissimilarity matrix must have a zero diagonal")

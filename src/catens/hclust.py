@@ -6,13 +6,15 @@ dissimilarity, the pair whose (smaller, larger) original smallest-leaf
 indices are lexicographically least is merged.  Average linkage is the
 unweighted pair-group mean (size-weighted Lance-Williams update).  The
 merge search keeps a lower bound per row and rescans only the row of least
-bound: O(n^2) memory, O(n) numpy work per merge plus rescans, O(n^3) at worst.
+bound, and each merge writes its Lance-Williams row in place, into the kept
+row's own slot: O(n^2) memory, O(n) numpy work per merge plus rescans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +28,13 @@ def check_linkage(linkage: str) -> None:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of SL, AL, CL")
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     """One agglomeration step: children node ids, merge height, merged size.
 
     Node ids follow the usual convention: leaves are ``0..n-1``, the cluster
     created by the ``t``-th merge is ``n + t``.  ``left`` is the child whose
-    cluster contains the smaller original leaf index.
+    cluster contains the smaller original leaf index.  A tuple, so a merge
+    equals the plain tuple ``(left, right, height, size)``.
     """
 
     left: int
@@ -65,17 +67,16 @@ class Dendrogram:
         """``(order, start, size)``: the leaves in the order that puts every node's members
         together, left child first (so the first is the node's least leaf), and each node's
         first position in ``order`` and member count, by node id.  Built once per tree,
-        root first, in O(n)."""
+        root first, in O(n) over Python lists, made arrays once at the end."""
         n = self.n
-        size = np.array([1] * n + [m.size for m in self.merges], dtype=np.int64)
-        start = np.zeros(2 * n - 1, dtype=np.int64)
-        for t in range(n - 2, -1, -1):
-            m = self.merges[t]
-            start[m.left] = start[n + t]
-            start[m.right] = start[n + t] + size[m.left]
+        size = [1] * n + [m.size for m in self.merges]
+        start = [0] * (2 * n - 1)
+        for node, (left, right, _, _) in zip(range(2 * n - 2, n - 1, -1), reversed(self.merges)):
+            start[left] = start[node]
+            start[right] = start[node] + size[left]
         order = np.empty(n, dtype=np.int64)
         order[start[:n]] = np.arange(n)
-        return _freeze(order), _freeze(start), _freeze(size)
+        return _freeze(order), _freeze(np.array(start, dtype=np.int64)), _freeze(np.array(size, dtype=np.int64))
 
 
 def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
@@ -87,6 +88,11 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     is never above row ``r``'s least live value; when the first row ``i`` of
     least bound attains it, every earlier row's minimum is larger, so ``(i, j)``
     is argmin's row-major first minimum, the tie-break.  Worst case O(n^3).
+
+    The merged row is computed in place in row ``i`` (row ``j`` is dead after
+    the merge, so AL may scale it too), with the same float operations in the
+    same order as ``(s_i * w_i + s_j * w_j) / (s_i + s_j)``.  A singleton side
+    skips its multiply: a product by 1 is exact, so every height is unchanged.
     """
     check_linkage(linkage)
     n = d.n
@@ -105,19 +111,23 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
             if (h := work[i, j]) == bound[i]:
                 break
             bound[i] = h
+        wi, wj = work[i], work[j]
         if linkage == "SL":
-            row = np.minimum(work[i], work[j])
+            np.minimum(wi, wj, out=wi)
         elif linkage == "CL":
-            row = np.maximum(work[i], work[j])
+            np.maximum(wi, wj, out=wi)
         else:
-            row = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
+            for w, s in ((wi, sizes[i]), (wj, sizes[j])):
+                if s > 1:
+                    np.multiply(w, s, out=w)
+            np.add(wi, wj, out=wi)
+            np.divide(wi, sizes[i] + sizes[j], out=wi)
         # row and column i get one vector (exact symmetry); dead rows are never read
-        row[i] = row[j] = np.inf
-        work[i] = row
-        work[:, i] = row
+        wi[i] = wi[j] = np.inf
+        work[:, i] = wi
         work[:, j] = np.inf
-        np.minimum(bound, row, out=bound)
-        bound[i] = row.min()
+        np.minimum(bound, wi, out=bound)
+        bound[i] = wi.min()
         bound[j] = np.inf
         sizes[i] += sizes[j]
         merges.append(Merge(node[i], node[j], float(h), sizes[i]))

@@ -759,3 +759,86 @@ class TestParser:
                 dests.add(action.dest)
                 assert not action.option_strings or action.dest in refusable | always, (name, action.dest)
         assert refusable <= dests
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--seed"],
+            ["cluster", "in.csv", "--method", "ENAL", "--k", "2", "--seed"],
+            ["experiment", "--design", "D10", "--methods", "HCAL", "--seed"],
+            ["simulate", "--design", "D10", "--output", "sim.csv", "--seed"],
+            ["simulate", "--design", "D10", "--output", "sim.csv", "--replicate"],
+        ],
+        ids=["cluster-HCAL", "cluster-ENAL", "experiment", "simulate", "simulate-replicate"],
+    )
+    def test_negative_seed_or_replicate_is_refused_at_parse_time(self, tmp_path, capsys, monkeypatch, argv):
+        # HC methods draw nothing, so only the parser refuses a negative seed for every method alike
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "-5"])
+        assert err.value.code == 1
+        assert f"argument {argv[-1]}: expected a non-negative integer, got '-5'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["cluster", "in.csv", "--method", "ROCK", "--k", "2", "--alpha", "0.1"], "ROCK"),
+            (["experiment", "--design", "D10", "--methods", "NOPE", "--alpha", "0.1"], "NOPE"),
+        ],
+        ids=["cluster", "experiment"],
+    )
+    def test_unknown_method_is_named_before_an_unread_flag(self, capsys, argv, name):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"unknown method {name!r}" in err
+        assert "is not read" not in err
+
+
+class TestRefuseBeforeIO:
+    """What the flags alone show to be wrong ends the run before any input is
+    read or drawn, before anything is written, stdout included."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        def no_input(*args, **kwargs):
+            raise AssertionError("read or drew the input of a refused run")
+
+        for name in ("read_categorical_csv", "load_fasta_matrix"):
+            monkeypatch.setattr(catio, name, no_input)
+        for name in ("gen_lowdim", "gen_highdim", "gen_noise"):
+            monkeypatch.setattr(cli, name, no_input)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("a,b,0\nb,a,1\n", encoding="utf-8")
+        catio.write_fasta(tmp_path / "in.fasta", [("a", "ACGT"), ("b", "ACGA")])
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "missing/lab.csv"], "--output"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "lab.csv",
+              "--newick", "missing/t.nwk"], "--newick"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2",
+              "--save-dissimilarity", "missing/d.csv"], "--save-dissimilarity"),
+            (["experiment", "--design", "D10", "--methods", "HCAL", "--output", "missing/t.tsv"], "--output"),
+            (["simulate", "--seq-design", "low-noise", "--output", "sim.fasta",
+              "--truth-out", "missing/truth.csv"], "--truth-out"),
+        ],
+        ids=["cluster-output", "cluster-newick", "cluster-save-dissimilarity", "experiment-output",
+             "simulate-truth-out"],
+    )
+    def test_file_into_a_missing_directory_is_data_error(self, workdir, capsys, argv, flag):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag}: 'missing' is not a directory" in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta"]
+
+    @pytest.mark.parametrize("source", ["in.fasta", "in.csv"], ids=["fasta", "csv-without-truth-column"])
+    def test_experiment_on_input_without_truth_is_data_error(self, workdir, capsys, source):
+        assert main(["experiment", "--input", source, "--methods", "HCAL", "--output", "t.tsv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "experiment --input needs truth labels" in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta"]

@@ -596,6 +596,24 @@ class TestDissimilarityMatrix:
         with pytest.raises(DataError, match="dissimilarity matrix must be symmetric"):
             DissimilarityMatrix(bad)
 
+    def test_symmetry_check_reads_each_strip_right_of_its_diagonal(self):
+        # each strip compares its rows from column s on with its columns from row s
+        # down, so every pair is read once; one asymmetric cell anywhere must be found:
+        # right of each strip's diagonal block, left of it (an earlier strip's column),
+        # and below the diagonal of the last strip
+        n = 600
+        step = max(1, core._BLOCK_ELEMS // n)
+        starts = range(0, n, step)
+        assert len(starts) > 2
+        upper = np.triu(substream(39).random((n, n)), 1)
+        vals = upper + upper.T
+        cells = [(s, n - 1) for s in starts] + [(s + 1, s - 1) for s in starts[1:]] + [(n - 1, starts[-1])]
+        for r, c in cells:
+            bad = vals.copy()
+            bad[r, c] /= 2
+            with pytest.raises(DataError, match="dissimilarity matrix must be symmetric"):
+                DissimilarityMatrix(bad)
+
 
 class TestClustering:
     def test_labels_must_cover_range(self):

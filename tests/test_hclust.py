@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catens.core import DataError, DissimilarityMatrix, relabel_dense
+from catens.core import DataError, DissimilarityMatrix, hamming, relabel_dense
 from catens.ensemble import EnsembleConfig, ensemble_cluster
 from catens.hclust import Dendrogram, Merge, _components, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from catens.metrics import classification_rate
@@ -188,12 +188,15 @@ class TestArgminOracle:
         assert merge_bits(agglomerate(d, linkage)) == merge_bits(argmin_agglomerate(d, linkage))
 
     def test_large_n_ensemble_average_linkage(self):
-        # the shape of one ENAL re-agglomeration in the large-n benchmark
+        # the three AL tables of one large-n benchmark draw: HCAL's raw counts, ENAL's
+        # normalised Hamming (its base stage) and the ensemble matrix ENAL re-agglomerates
         x, _ = gen_lowdim(Design("N600", 5, (120,) * 5), seed=3)
         _, tree = ensemble_cluster(x, EnsembleConfig(B=25, linkage="AL", seed=3), 5)
         e = tree.source
         assert e.n == 600 and e.kind == "ensemble"
         assert merge_bits(tree) == merge_bits(argmin_agglomerate(e, "AL"))
+        for d in (hamming(x), hamming(x, normalized=True)):
+            assert merge_bits(agglomerate(d, "AL")) == merge_bits(argmin_agglomerate(d, "AL"))
 
 
 class TestTieBreak:
