@@ -20,7 +20,7 @@ import numpy as np
 from . import io as catio
 from .core import CategoricalMatrix, Clustering, DataError, hamming, relabel_dense
 from .ensemble import EnsembleConfig, ensemble_cluster
-from .hclust import Dendrogram, agglomerate, cut_with_outlier_deferral
+from .hclust import Dendrogram, agglomerate, check_alpha, cut_with_outlier_deferral
 from .kmodes import en_kmodes, kmodes
 from .metrics import classification_rate, format_results_table, replicate_summary
 from .rng import child_seed
@@ -220,6 +220,23 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _alpha(text: str) -> float:
+    try:
+        check_alpha(alpha := float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return alpha
+
+
 def _noise(text: str) -> tuple[int, ...]:
     if len(spec := _sizes(text)) != 3:
         raise argparse.ArgumentTypeError(f"expected N,J,S integers, got {text!r}")
@@ -239,11 +256,11 @@ def _add_source_flags(p: argparse.ArgumentParser, other: str, **kwargs) -> None:
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     default = MethodOptions()
-    p.add_argument("--ensemble-size", type=int, default=default.B, metavar="B", dest="B",
+    p.add_argument("--ensemble-size", type=_positive, default=default.B, metavar="B", dest="B",
                    help=f"base clusterings per ensemble (default {default.B}; EN methods, ENKM, WOR, WR)")
-    p.add_argument("--alpha", type=float, default=default.alpha,
+    p.add_argument("--alpha", type=_alpha, default=default.alpha,
                    help=f"small-cluster deferral fraction (default {default.alpha:g}; HC and EN methods, WOR, WR)")
-    p.add_argument("--blocks", type=int, metavar="M",
+    p.add_argument("--blocks", type=_positive, metavar="M",
                    help="subspace count (WOR, WR; WR default 200, WOR default random lengths)")
     p.add_argument("--seed", type=_non_negative, default=default.seed,
                    help=f"RNG seed (default {default.seed}); allowed with every method, "
@@ -262,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("cluster", help="cluster one dataset")
     pc.add_argument("input", help="CSV table or aligned FASTA file")
     pc.add_argument("--method", required=True, help="one of " + ", ".join(METHODS))
-    pc.add_argument("--k", type=int, required=True, help="final cluster count")
+    pc.add_argument("--k", type=_positive, required=True, help="final cluster count")
     pc.add_argument("--output", help="labels CSV path (default: stdout)")
     pc.add_argument("--newick", help="write the dendrogram to this Newick file")
     pc.add_argument("--save-dissimilarity", help="export the pairwise dissimilarity as square CSV")
@@ -273,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(pe, "--input", help="CSV file with a truth column")
     pe.add_argument("--methods", required=True, help="comma-separated method names",
                     type=lambda text: tuple(m.strip().upper() for m in text.split(",") if m.strip()))
-    pe.add_argument("--replicates", type=int, default=1)
-    pe.add_argument("--k", type=int, help="final cluster count (default: from design/truth)")
+    pe.add_argument("--replicates", type=_positive, default=1)
+    pe.add_argument("--k", type=_positive, help="final cluster count (default: from design/truth)")
     pe.add_argument("--output", help="write the TSV results table here")
-    pe.add_argument("--workers", type=int, default=1, help="parallel replicate workers (default 1)")
+    pe.add_argument("--workers", type=_positive, default=1, help="parallel replicate workers (default 1)")
     _add_method_flags(pe)
     _add_io_flags(pe)
 
@@ -337,10 +354,12 @@ def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _refuse_before_io(args: argparse.Namespace) -> None:
     """Data errors that the flags alone show, raised before any input is read or
-    output written: a file to be written into a missing directory, and an
-    ``experiment`` on input without truth labels to score against."""
+    output written: a file to be written into a missing directory or over a
+    directory, and an ``experiment`` on input without truth labels to score against."""
     for dest in ("output", "newick", "save_dissimilarity", "truth_out"):
-        if (path := getattr(args, dest, None)) and not Path(path).parent.is_dir():
+        if (path := getattr(args, dest, None)) and Path(path).is_dir():
+            raise DataError(f"--{dest.replace('_', '-')}: {path!r} is a directory")
+        if path and not Path(path).parent.is_dir():
             raise DataError(f"--{dest.replace('_', '-')}: {str(Path(path).parent)!r} is not a directory")
     if args.command == "experiment" and args.input and (_input_kind(args) == "fasta" or args.truth_column is None):
         raise DataError("experiment --input needs truth labels: a CSV file with --truth-column")

@@ -275,13 +275,14 @@ def mismatch_counts(a: np.ndarray, gap: int | None = None) -> tuple[np.ndarray, 
     Returns ``(counts, compared)``: ``counts[i, k]`` is the number of
     columns where ``a[i]`` and ``a[k]`` differ.  With ``gap`` set, columns
     where either row holds ``gap`` are skipped and ``compared[i, k]`` counts
-    the columns actually compared; without it ``compared`` is the column
-    count.  The table is bit-sliced over its range of non-gap values (a gap
-    at either end of the span takes no plane, as validity words mask gap
-    cells when there are any) and compared 64 columns per word with
-    popcount, in exact integer sums.  ``counts`` and an array ``compared`` are
-    float64 tables of those integers, exact below 2**53, so a caller may
-    divide ``counts`` in place.  Each pair ``i <= k`` is counted once and mirrored.
+    the columns actually compared; without it, or when no cell holds ``gap``,
+    ``compared`` is the column count, an int (no ``n x n`` table).  The table
+    is bit-sliced over its range of non-gap values (a gap at either end of the
+    span takes no plane, as validity words mask gap cells when there are any)
+    and compared 64 columns per word with popcount, in exact integer sums.
+    ``counts`` and an array ``compared`` are float64 tables of those integers,
+    exact below 2**53, so a caller may divide ``counts`` in place.  Each pair
+    ``i <= k`` is counted once and mirrored.
     """
     lo, hi = int(a.min()), int(a.max())
     if gap is not None:
@@ -289,8 +290,7 @@ def mismatch_counts(a: np.ndarray, gap: int | None = None) -> tuple[np.ndarray, 
     packed = bit_planes(a, lo, max(1, hi - lo).bit_length())
     valid = None if gap is None else a != gap
     if valid is None or valid.all():
-        counts = plane_mismatches(packed, packed)[0]
-        return counts, a.shape[1] if valid is None else np.full_like(counts, a.shape[1])
+        return plane_mismatches(packed, packed)[0], a.shape[1]
     mask = bit_planes(valid, 0, 1)[0]
     return plane_mismatches(packed, packed, mask, mask)
 

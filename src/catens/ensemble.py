@@ -12,7 +12,10 @@ base cuts separating them is ``count_ij = #{b : k_b >= n - t_ij}``.  So at
 alpha = 0, when ``k_final`` is one of the drawn sizes, every pair inside a
 cluster of the base ``k_final`` cut has a smaller count than every pair
 across two of them, by at least one cut (1/B in dissimilarity), and ENxL
-returns HCxL's partition at ``k_final``.
+returns HCxL's partition at ``k_final``.  At any ``k_final`` ENxL's partition
+refines HCxL's cut at the largest drawn size <= ``k_final`` (1 if none) and is
+coarser than its cut at the smallest drawn size >= ``k_final`` (n if none): at
+alpha = 0 the ensemble can only re-cut its base tree.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CategoricalMatrix, Clustering, DataError, DissimilarityMatrix, _freeze, hamming, mismatch_counts
-from .hclust import Dendrogram, agglomerate, check_linkage, cut_with_outlier_deferral
+from .hclust import Dendrogram, agglomerate, check_alpha, check_linkage, cut_with_outlier_deferral
 from .rng import substream
 
 
@@ -62,8 +65,7 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.B < 1:
             raise ValueError("ensemble size B must be >= 1")
-        if not 0.0 <= self.alpha < 0.5:
-            raise ValueError("alpha must lie in [0, 0.5)")
+        check_alpha(self.alpha)
         check_linkage(self.linkage)
 
 

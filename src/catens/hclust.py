@@ -28,6 +28,11 @@ def check_linkage(linkage: str) -> None:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of SL, AL, CL")
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 0.5:
+        raise ValueError(f"alpha must lie in [0, 0.5), got {alpha}")
+
+
 class Merge(NamedTuple):
     """One agglomeration step: children node ids, merge height, merged size.
 
@@ -164,8 +169,7 @@ def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> C
     by first appearance.  Only a cut that defers a point reads the
     dissimilarity the dendrogram was built from (``tree.source``).
     """
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError("alpha must lie in [0, 0.5)")
+    check_alpha(alpha)
     groups = _components(tree, k)
     threshold = alpha * tree.n
     survivors = [g for g in groups if len(g) >= threshold]

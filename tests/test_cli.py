@@ -262,7 +262,9 @@ class TestClusterCommand:
     def test_zero_blocks_is_usage_error(self, tmp_path, method):
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, substream(72))
-        assert main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"]) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"])
+        assert err.value.code == 1
 
     @pytest.mark.parametrize(
         "flag", [["--header"], ["--delimiter", ";"], ["--id-column", "0"], ["--truth-column", "2"]],
@@ -411,7 +413,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_non_positive_workers_is_usage_error(self, workers):
         argv = ["experiment", "--design", "D10", "--methods", "HCAL", "--workers", workers]
-        assert main(argv) == 1
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
 
     def test_flag_read_by_any_listed_method(self):
         argv = ["experiment", "--design", "D10", "--alpha", "0.05", "--methods"]
@@ -473,6 +477,8 @@ class TestExperimentCommand:
             ExperimentSpec(methods=())
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("HCAL",), replicates=0, design="D1")
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentSpec(methods=("HCAL",), workers=0, design="D1")
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("HCAL",))  # no source
         x, truth = gen_lowdim(DESIGNS["D10"], seed=1)
@@ -730,8 +736,10 @@ class TestConfigFile:
         (tmp_path / "b.cfg").write_text("ensemble-size=0\n", encoding="utf-8")
         (tmp_path / "nested.cfg").write_text("config=b.cfg\n", encoding="utf-8")
         argv = ["cluster", "four.csv", "--method", "ENAL", "--k", "2", "--header", "--output", "l.csv"]
-        assert main(argv + ["--config", "b.cfg"]) == 1
-        assert "ensemble size B must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", "b.cfg"])
+        assert err.value.code == 1
+        assert "argument --ensemble-size: expected a positive integer, got '0'" in capsys.readouterr().err
         assert main(argv + first) == 0
         assert main(argv + first + second) == 1
         assert "--config may be given once, spelled in full" in capsys.readouterr().err
@@ -781,6 +789,38 @@ class TestParser:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "in.csv", "--method", "ENAL", "--k", "0"], "--k: expected a positive integer, got '0'"),
+            (["experiment", "--input", "in.csv", "--truth-column", "2", "--methods", "HCAL", "--k", "0"],
+             "--k: expected a positive integer, got '0'"),
+            (["cluster", "in.csv", "--method", "ENAL", "--k", "2", "--ensemble-size", "0"],
+             "--ensemble-size: expected a positive integer, got '0'"),
+            (["cluster", "in.csv", "--method", "WR", "--k", "2", "--blocks", "-3"],
+             "--blocks: expected a positive integer, got '-3'"),
+            (["experiment", "--input", "in.csv", "--truth-column", "2", "--methods", "HCAL", "--replicates", "0"],
+             "--replicates: expected a positive integer, got '0'"),
+            (["experiment", "--input", "in.csv", "--truth-column", "2", "--methods", "HCAL", "--workers", "0"],
+             "--workers: expected a positive integer, got '0'"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--alpha", "0.5"],
+             "--alpha: alpha must lie in [0, 0.5), got 0.5"),
+            (["experiment", "--input", "in.csv", "--truth-column", "2", "--methods", "ENAL", "--alpha", "-0.1"],
+             "--alpha: alpha must lie in [0, 0.5), got -0.1"),
+        ],
+        ids=["cluster-k", "experiment-k", "ensemble-size", "blocks", "replicates", "workers",
+             "cluster-alpha", "experiment-alpha"],
+    )
+    def test_a_value_out_of_range_is_refused_at_parse_time(self, tmp_path, capsys, monkeypatch, argv, message):
+        # in.csv does not exist: reading it first would end in a data error (exit 2)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert f"argument {message}" in stderr
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["cluster", "in.csv", "--method", "ROCK", "--k", "2", "--alpha", "0.1"], "ROCK"),
@@ -813,7 +853,7 @@ class TestRefuseBeforeIO:
         catio.write_fasta(tmp_path / "in.fasta", [("a", "ACGT"), ("b", "ACGA")])
         return tmp_path
 
-    @pytest.mark.parametrize(
+    WRITES = pytest.mark.parametrize(
         "argv, flag",
         [
             (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "missing/lab.csv"], "--output"),
@@ -828,12 +868,26 @@ class TestRefuseBeforeIO:
         ids=["cluster-output", "cluster-newick", "cluster-save-dissimilarity", "experiment-output",
              "simulate-truth-out"],
     )
+
+    @WRITES
     def test_file_into_a_missing_directory_is_data_error(self, workdir, capsys, argv, flag):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{flag}: 'missing' is not a directory" in err
         assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta"]
+
+    @WRITES
+    def test_file_over_an_existing_directory_is_data_error(self, workdir, capsys, argv, flag):
+        # the same runs, each with the refused flag naming a directory that exists
+        (workdir / "taken").mkdir()
+        argv = ["taken" if a.startswith("missing/") else a for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag}: 'taken' is a directory" in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta", "taken"]
+        assert not any((workdir / "taken").iterdir())
 
     @pytest.mark.parametrize("source", ["in.fasta", "in.csv"], ids=["fasta", "csv-without-truth-column"])
     def test_experiment_on_input_without_truth_is_data_error(self, workdir, capsys, source):

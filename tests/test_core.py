@@ -320,6 +320,22 @@ class TestHamming:
         with pytest.raises(DataError):
             hamming(x)
 
+    def test_declared_gap_that_no_cell_holds_builds_no_denominator_table(self):
+        # the CLI declares a gap code for every FASTA input; with no gap cell every pair
+        # compares all J columns, so the kernel returns J and no n x n table of it
+        n = 1000
+        codes = substream(39).integers(0, 4, size=(n, 2000))
+        plain = hamming(CategoricalMatrix(codes, [4] * 2000), normalized=True)
+        x = CategoricalMatrix(codes, [4] * 2000, gap_code=GAP_CODE)
+        tracemalloc.start()
+        try:
+            declared = hamming(x, normalized=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(declared.values, plain.values)
+        assert peak < 1.8 * n * n * 8
+
     def test_single_row_rejected(self):
         with pytest.raises(DataError):
             hamming(encode([["a", "b"]]))

@@ -19,6 +19,7 @@ from catens.ensemble import (
 from catens.hclust import agglomerate, cut
 from catens.metrics import classification_rate
 from catens.rng import substream
+from catens.simgen import DESIGNS, gen_lowdim
 
 from .reference import naive_ensemble_dissimilarity
 
@@ -216,6 +217,28 @@ class TestEnsembleCluster:
         k = int(draw_sizes(cfg, n)[pick % B])
         labels, _ = ensemble_cluster(d, cfg, k)
         assert labels.labels.tolist() == cut(agglomerate(d, linkage), k).labels.tolist()
+
+    @pytest.mark.parametrize("design", ["D1", "D5", "D10"])
+    @pytest.mark.parametrize("linkage", ["SL", "CL"])
+    def test_every_cut_lies_between_the_base_cuts_at_the_drawn_sizes_around_it(self, design, linkage):
+        # the bracket of the ensemble module docstring, at every k of the drawn range
+        # and whether k is drawn or not; AL waits for exact average-linkage ties
+        def refines(fine, coarse):
+            return len(set(zip(fine.labels.tolist(), coarse.labels.tolist()))) == fine.K
+
+        for replicate in range(2):
+            x, _ = gen_lowdim(DESIGNS[design], seed=7, replicate=replicate)
+            base = agglomerate(hamming(x, normalized=True), linkage)
+            for B in (3, 25):
+                cfg = EnsembleConfig(B=B, linkage=linkage, seed=replicate)
+                drawn = sorted(set(draw_sizes(cfg, x.n).tolist()))
+                _, tree = ensemble_cluster(x, cfg, 2)
+                for k in range(2, size_range(x.n)[1] + 1):
+                    below = max((s for s in drawn if s <= k), default=1)
+                    above = min((s for s in drawn if s >= k), default=x.n)
+                    labels = cut(tree, k)
+                    assert refines(labels, cut(base, below)), (replicate, B, k)
+                    assert refines(cut(base, above), labels), (replicate, B, k)
 
     def test_parallel_column_schedule_irrelevant(self):
         # the incidence matrix is a pure function of (d, sizes, linkage), so

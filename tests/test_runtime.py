@@ -50,6 +50,19 @@ def test_import_loads_no_scipy_and_no_process_pool():
     assert done.stdout.decode().strip() == "[]"
 
 
+def test_import_loads_core_alone_and_binds_two_names():
+    done = python(
+        "import sys, types, catens\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'catens'))\n"
+        "print(sorted(k for k, v in vars(catens).items()"
+        " if not k.startswith('_') and not isinstance(v, types.ModuleType)))"
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    loaded, names = done.stdout.decode().splitlines()
+    assert loaded == "['catens', 'catens.core']"
+    assert names == "['DataError', 'hamming']"
+
+
 def test_blocked_scipy_cannot_be_imported():
     done = python(NO_SCIPY + "import scipy.optimize")
     assert done.returncode != 0
