@@ -11,9 +11,11 @@ codes: 0 on success, 1 for usage errors (or out of memory), 2 for data errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -369,15 +371,36 @@ def _options(args: argparse.Namespace) -> MethodOptions:
     return MethodOptions(**{f.name: getattr(args, f.name) for f in fields(MethodOptions)})
 
 
+def _write_all(writes: dict[str | None, Callable[[str], None]]) -> None:
+    """Call each ``write(path)`` of ``writes`` (``None`` paths skipped) so that a failed write
+    leaves no output: each new or regular file is written to a sibling temporary file, renamed
+    into place once all have succeeded; a device or a pipe is then written in place."""
+    regular = [p for p in writes if p and (os.path.isfile(p) or not os.path.exists(p))]
+    files = {os.path.realpath(p): writes[p] for p in regular}
+    temps = {f: f"{f}.{os.getpid()}.tmp" for f in files}
+    try:
+        for f, write in files.items():
+            write(temps[f])
+        for f in files:
+            os.replace(temps[f], f)
+    finally:
+        for temp in temps.values():
+            Path(temp).unlink(missing_ok=True)
+    for p in [p for p in writes if p and not os.path.isfile(p)]:
+        writes[p](p)
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     x, truth = _load_input(args)
     labels, tree = run_method(args.method, x, args.k, _options(args))
     ids = x.row_ids or tuple(str(i) for i in range(x.n))
-    catio.write_labels_csv(args.output or sys.stdout, ids, labels.labels)
-    if args.newick:
-        catio.write_newick(args.newick, tree, labels=ids)
-    if args.save_dissimilarity:
-        catio.write_dissimilarity_csv(args.save_dissimilarity, hamming(x, normalized=args.normalize))
+    _write_all({
+        args.output: lambda p: catio.write_labels_csv(p, ids, labels.labels),
+        args.newick: lambda p: catio.write_newick(p, tree, labels=ids),
+        args.save_dissimilarity: lambda p: catio.write_dissimilarity_csv(p, hamming(x, normalized=args.normalize)),
+    })
+    if not args.output:
+        catio.write_labels_csv(sys.stdout, ids, labels.labels)
     if truth is not None:
         sys.stderr.write(f"classification rate: {classification_rate(labels, truth):.4f}\n")
     return 0
@@ -399,15 +422,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     results = run_experiment(spec)
     table = format_results_table(results)
-    if args.output:
-        Path(args.output).write_text(table, encoding="utf-8")
+    _write_all({args.output: lambda p: Path(p).write_text(table, encoding="utf-8")})
     sys.stdout.write(table)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    out = Path(args.output)
-    fasta = out.suffix.lower() in catio.FASTA_SUFFIXES
+    fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
     if fasta and args.design:
         raise ValueError("FASTA holds one character per position, but --design codes run up to 20")
     if args.noise is None:
@@ -416,15 +437,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         x, truth = gen_noise(*args.noise, seed=args.seed, replicate=args.replicate), None
     # the generators' symbols: nucleotides for --seq-design, the code itself otherwise
     table = (np.array(NUCLEOTIDES)[x.codes] if args.seq_design else x.codes.astype(str)).tolist()
-    if not fasta:
-        catio.write_categorical_csv(out, table, truth=truth, delimiter=args.delimiter)
-        return 0
-    if (bad := next((s for row in table for s in row if len(s) != 1), None)) is not None:
+    if fasta and (bad := next((s for row in table for s in row if len(s) != 1), None)) is not None:
         raise ValueError(f"FASTA needs one character per position, got the symbol {bad!r}")
     ids = [str(i) for i in range(x.n)]
-    catio.write_fasta(out, list(zip(ids, map("".join, table))))
-    if args.truth_out:
-        catio.write_labels_csv(args.truth_out, ids, truth.labels)
+    write = (lambda p: catio.write_fasta(p, list(zip(ids, map("".join, table))))) if fasta else (
+        lambda p: catio.write_categorical_csv(p, table, truth=truth, delimiter=args.delimiter))
+    _write_all({args.output: write, args.truth_out: lambda p: catio.write_labels_csv(p, ids, truth.labels)})
     return 0
 
 

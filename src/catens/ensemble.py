@@ -88,14 +88,13 @@ def build_incidence(
     linkage: str = "AL",
     alpha: float = 0.0,
 ) -> IncidenceMatrix:
-    """Cut one dendrogram of ``d`` at every requested size.
-
-    Base clusterings are deterministic given (d, size, linkage), so the only
-    ensemble randomness lives in the size draws.
-    """
+    """Cut one dendrogram of ``d`` at every requested size: once per distinct size, as a cut
+    is a pure function of (tree, size, alpha), each column repeating its size's cut.  The
+    only ensemble randomness lives in the size draws."""
     tree = agglomerate(d, linkage)
-    cuts = [cut_with_outlier_deferral(tree, int(k), alpha).labels for k in sizes]
-    return IncidenceMatrix(np.stack(cuts, axis=1))
+    distinct, column = np.unique(sizes, return_inverse=True)
+    cuts = np.stack([cut_with_outlier_deferral(tree, int(k), alpha).labels for k in distinct], axis=1)
+    return IncidenceMatrix(cuts[:, column])
 
 
 def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:

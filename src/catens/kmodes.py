@@ -5,10 +5,11 @@ of each mode as the most frequent code per column among members.  Ties are deter
 assignment prefers the lowest cluster index, mode updates prefer the smallest code, and
 empty clusters are reseeded from the point farthest from its current mode among points
 whose cluster keeps another member.  Runs go in lockstep, :func:`kmodes` as a batch of one
-and :func:`en_kmodes` with all ``B``: each iteration packs the modes of the active runs
-once and updates them with one ``bincount``.  A run leaves the active set at its own label
-fixpoint (or ``_MAX_ITER``), so ``n_iter`` is counted per run and every run ends as it
-would alone.  A group of runs keeps its update's indices and counts within ``_BLOCK_ELEMS``.
+and :func:`en_kmodes` with all ``B``, each step a keyed reduction over the active runs' modes:
+assignment takes each run's least ``mismatches * max(k) + mode index``, the update each
+(cluster, column)'s greatest ``count * span + (span - 1 - code)`` in one ``bincount`` table.
+A run leaves the active set at its own label fixpoint (or ``_MAX_ITER``), so ``n_iter`` is
+counted per run and every run ends as it would alone.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ def _check(x: CategoricalMatrix, k: int) -> None:
 def _assign(
     codes: np.ndarray, packed: np.ndarray, modes: np.ndarray, ks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # ``packed`` is bit_planes(codes, 0, planes).  Each run takes the first least of its k modes,
-    # then reseeds its empty clusters: only a row whose cluster keeps another member moves; while
-    # a cluster is empty the other k - 1 hold all n >= k rows, so one of them holds two
-    first = np.cumsum(ks) - ks
-    dist = plane_mismatches(packed, bit_planes(modes, 0, packed.shape[0]))[0].T
-    least = np.minimum.reduceat(dist, first)
-    at = np.where(dist == np.repeat(least, ks, axis=0), np.arange(len(dist))[:, None], len(dist))
-    labels = np.minimum.reduceat(at, first)
-    sizes = np.bincount(labels.ravel(), minlength=len(modes))  # labels number clusters across runs
+    # ``packed`` is bit_planes(codes, 0, planes).  Each run takes its first least mode by key, then
+    # reseeds its empty clusters: only a row whose cluster keeps another member moves; while a
+    # cluster is empty the other k - 1 hold all n >= k rows, so one of them holds two
+    first, width = np.cumsum(ks) - ks, int(ks.max())
+    key = plane_mismatches(bit_planes(modes, 0, packed.shape[0]), packed)[0].astype(np.int64) * width
+    key += (np.arange(len(modes)) - np.repeat(first, ks))[:, None]  # a mode's index in its run
+    least, labels = np.divmod(np.minimum.reduceat(key, first), width)
+    labels += first[:, None]  # labels number clusters across runs until the return
+    sizes = np.bincount(labels.ravel(), minlength=len(modes))
     for c in np.flatnonzero(sizes == 0):
         b = np.searchsorted(first, c, side="right") - 1  # the run that owns cluster c
         lab, d = labels[b], least[b]
@@ -66,13 +67,13 @@ def _assign(
 
 
 def _update_modes(codes: np.ndarray, labels: np.ndarray, ks: np.ndarray, span: int) -> np.ndarray:
-    # one table of sum(k) * J * span int64 counts; run b's clusters start at first[b]
-    J = codes.shape[1]
-    first = np.cumsum(ks) - ks
-    flat = ((labels + first[:, None])[:, :, None] * J + np.arange(J)) * span
-    flat += codes  # in place: numpy makes a fresh temporary for a broadcast operand
-    counts = np.bincount(flat.ravel(), minlength=int(ks.sum()) * J * span).reshape(-1, J, span)
-    return counts.argmax(axis=2).astype(codes.dtype)
+    # one code-major span x S*J table of int64 keys, S = sum(k); run b's clusters start at first[b]
+    S, J, first = int(ks.sum()), codes.shape[1], np.cumsum(ks) - ks
+    flat = ((labels + first[:, None]) * J)[:, :, None] + (codes.astype(np.int64) * (S * J) + np.arange(J))
+    keys = np.bincount(flat.ravel(), minlength=span * S * J).reshape(span, S * J)
+    keys *= span  # in place, as are all steps on this table: a fresh one costs more in page faults
+    keys += np.arange(span - 1, -1, -1)[:, None]
+    return (span - 1 - keys.max(axis=0) % span).reshape(S, J).astype(codes.dtype)
 
 
 def _runs(x: CategoricalMatrix, ks: np.ndarray | list, rngs: list) -> Iterator[KModesState]:

@@ -17,7 +17,6 @@ each subset as they draw it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,23 +116,6 @@ def wr_subspaces(J: int, M: int | None = None, seed: int = 0) -> SubspaceSet:
         drawn[rng.integers(0, J, size=first)] = True
         subsets.append(np.flatnonzero(drawn).astype(dtype))
     return SubspaceSet(subsets=tuple(subsets), source_J=J)
-
-
-def distinct_count_pmf(J: int) -> np.ndarray:
-    """Distribution of the number of distinct values in ``J`` draws with
-    replacement from ``J`` objects, as a vector over ``k = 1..J``.
-
-    Exact for every ``J``: ``P(k) = C(J, k) T(J, k) / J^J``, with the surjection
-    counts ``T(m, k) = k (T(m-1, k) + T(m-1, k-1))`` from ``T(0, 0) = 1`` built
-    in integer arithmetic and divided once per ``k``.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    surj = [1] + [0] * J
-    for _ in range(J):
-        surj = [0] + [k * (surj[k] + surj[k - 1]) for k in range(1, J + 1)]
-    total = J**J
-    return np.array([math.comb(J, k) * surj[k] / total for k in range(1, J + 1)], dtype=np.float64)
 
 
 def subspace_ensemble(

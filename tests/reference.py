@@ -12,7 +12,9 @@ member-list walk over the first ``n - k`` merges as the oracle of the
 leaf-order cut.  The k-modes
 mode update and the α-deferral of small clusters keep their loops: one
 ``bincount`` per cluster and one mean per deferred point and survivor.  One
-k-modes run is a plain loop over rows, modes and columns.
+k-modes run is a plain loop over rows, modes and columns.  The exact law of the
+number of distinct columns in a WR subset, which no library code needs, lives
+here beside the two oracles that check it.
 """
 
 from __future__ import annotations
@@ -145,6 +147,23 @@ def brute_force_classification_rate(pred: np.ndarray, truth: np.ndarray) -> floa
     return best / len(pred)
 
 
+def distinct_count_pmf(J: int) -> np.ndarray:
+    """Distribution of the number of distinct values in ``J`` draws with
+    replacement from ``J`` objects, as a vector over ``k = 1..J``.
+
+    Exact for every ``J``: ``P(k) = C(J, k) T(J, k) / J^J``, with the surjection
+    counts ``T(m, k) = k (T(m-1, k) + T(m-1, k-1))`` from ``T(0, 0) = 1`` built
+    in integer arithmetic and divided once per ``k``.
+    """
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    surj = [1] + [0] * J
+    for _ in range(J):
+        surj = [0] + [k * (surj[k] + surj[k - 1]) for k in range(1, J + 1)]
+    total = J**J
+    return np.array([comb(J, k) * surj[k] / total for k in range(1, J + 1)], dtype=np.float64)
+
+
 def enumerate_distinct_pmf(J: int) -> np.ndarray:
     """P(#distinct = k) over all J^J equally likely bootstrap samples."""
     counts = np.zeros(J, dtype=np.int64)
@@ -154,8 +173,8 @@ def enumerate_distinct_pmf(J: int) -> np.ndarray:
 
 
 def exact_distinct_pmf_formula(J: int) -> np.ndarray:
-    """The closed form C(J,k) * surjections(J, k) / J^J, independent of the
-    library's Stirling recurrence (surjections by inclusion-exclusion)."""
+    """The closed form C(J,k) * surjections(J, k) / J^J, independent of
+    :func:`distinct_count_pmf`'s recurrence (surjections by inclusion-exclusion)."""
     total = J**J
     out = []
     for k in range(1, J + 1):

@@ -38,11 +38,12 @@ from catens.hclust import agglomerate, cut
 from catens.metrics import classification_rate
 from catens.rng import child_seed, substream
 from catens.simgen import DESIGNS, SeqDesign, gen_highdim, gen_lowdim
-from catens.subspace import distinct_count_pmf, subspace_ensemble, wor_subspaces, wr_subspaces
+from catens.subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 
 from .reference import (
     brute_force_agglomerate,
     brute_force_classification_rate,
+    distinct_count_pmf,
     enumerate_distinct_pmf,
     naive_encode,
     naive_ensemble_dissimilarity,

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import importlib
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,11 @@ def write_blocks_csv(path, rng, sizes=(8, 8), J=10, shuffle=False):
         truth = [truth[i] for i in order]
     path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
     return np.asarray(truth), order
+
+
+def full_disk(*args, **kwargs):
+    """A writer that fails as on a full disk."""
+    raise OSError(28, "No space left on device")
 
 
 # two clusters of five aligned sequences with ``-`` and ``.`` gaps and
@@ -348,6 +355,35 @@ class TestClusterCommand:
             "d.csv": "12ef27b3df709409f1a41b54ce744ab22652b785e727e384ba71ecb0c2e24ea8",
         }
 
+    def test_failed_newick_write_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the labels come first in the flags and in the run; a full disk at the
+        # Newick file must leave neither them nor a temporary file behind
+        monkeypatch.setattr(catio, "write_newick", full_disk)
+        write_blocks_csv(tmp_path / "blocks.csv", substream(62))
+        argv = ["cluster", str(tmp_path / "blocks.csv"), "--method", "HCAL", "--k", "2",
+                "--output", str(tmp_path / "labels.csv"), "--newick", str(tmp_path / "tree.nwk")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "No space left on device" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv"]
+
+    def test_output_to_a_pipe_is_written_in_place(self, tmp_path):
+        # a path that is not a regular file takes no temporary file and no rename
+        write_blocks_csv(tmp_path / "blocks.csv", substream(63))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["cluster", str(tmp_path / "blocks.csv"), "--method", "HCAL", "--k", "2",
+                     "--output", str(pipe)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert pipe.is_fifo()
+        assert read[0].decode().splitlines()[0] == "id,cluster"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv", "pipe"]
+
 
 class TestExperimentCommand:
     def test_design_table(self, tmp_path, capsys):
@@ -521,6 +557,13 @@ class TestSimulateCommand:
         x = catio.load_fasta_matrix(out)
         assert x.n == 50 and x.J == 200
         assert len(truth_out.read_text().strip().splitlines()) == 51
+
+    def test_failed_truth_write_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catio, "write_labels_csv", full_disk)
+        argv = ["simulate", "--seq-design", "low-noise", "--seq-j", "50",
+                "--output", str(tmp_path / "sim.fasta"), "--truth-out", str(tmp_path / "truth.csv")]
+        assert main(argv) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_noise_export(self, tmp_path):
         out = tmp_path / "noise.csv"

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +19,7 @@ from catens.ensemble import (
     recluster,
     size_range,
 )
-from catens.hclust import agglomerate, cut
+from catens.hclust import agglomerate, cut, cut_with_outlier_deferral
 from catens.metrics import classification_rate
 from catens.rng import substream
 from catens.simgen import DESIGNS, gen_lowdim
@@ -83,6 +86,29 @@ class TestBuildIncidence:
     def test_size_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             build_incidence(THREE_POINT, [4], "SL")
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 30),
+        st.sampled_from(["SL", "AL", "CL"]), st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+    )
+    def test_one_cut_per_distinct_size(self, seed, n, B, linkage, alpha):
+        # entries j/3 make many exact ties, and B sizes from a few values repeat;
+        # every column must equal its own cut, made once per distinct size
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 4, (n, n)) / 3, 1)
+        d = matrix(upper + upper.T)
+        sizes = rng.integers(1, min(n, 8) + 1, B)
+        try:
+            want = np.stack([cut_with_outlier_deferral(agglomerate(d, linkage), int(k), alpha).labels
+                             for k in sizes], axis=1)
+        except core.DataError as exc:  # alpha leaves no cluster at some size
+            with pytest.raises(core.DataError, match=f"^{re.escape(str(exc))}$"):
+                build_incidence(d, sizes, linkage, alpha)
+            return
+        with mock.patch("catens.ensemble.cut_with_outlier_deferral", wraps=cut_with_outlier_deferral) as cuts:
+            got = build_incidence(d, sizes, linkage, alpha).entries
+        assert got.tolist() == want.tolist()
+        assert cuts.call_count == len(set(sizes.tolist()))
 
 
 class TestEnsembleDissimilarity:

@@ -102,9 +102,10 @@ class TestKModes:
 class TestModeUpdate:
     @given(st.data())
     def test_count_table_matches_per_cluster_oracle(self, data):
-        # few codes and few rows per cluster: ties are common, and labels
-        # drawn from 0..k-1 leave some clusters empty; several runs share one table
-        n, J, span = (data.draw(st.integers(1, hi)) for hi in (30, 8, 4))
+        # few rows per cluster: ties are common, and labels drawn from 0..k-1 leave
+        # some clusters empty; several runs share one table, whose J and span reach
+        # past one 64-column word and past five bit planes
+        n, J, span = (data.draw(st.integers(1, hi)) for hi in (30, 70, 33))
         ks = np.array(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
         codes = data.draw(arrays(np.int32, (n, J), elements=st.integers(0, span - 1)))
         labels = np.stack([data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1))) for k in ks])
@@ -132,6 +133,19 @@ class TestLockstep:
         want.append(naive_kmodes(x.codes, int(ks[0]), substream(seed), max_iter))
         got = [(s.labels.tolist(), s.modes.tolist(), s.cost, s.n_iter) for s in [*states, single]]
         assert got == want
+
+
+    @pytest.mark.parametrize("card", [2, 5, 17, 33])
+    @pytest.mark.parametrize("J", [63, 64, 65, 129])
+    def test_wide_rows_and_many_codes_match_one_run_oracle(self, J, card):
+        # rows of one word, one word and a bit, and three words; codes of 1 to 6 planes
+        rng = substream(50, J, card)
+        n, B = int(rng.integers(2, 16)), 6
+        x = CategoricalMatrix(rng.integers(0, card, size=(n, J), dtype=np.int32), np.full(J, card))
+        ks = np.where(rng.random(B) < 0.5, n - rng.integers(0, min(n, 3), B), rng.integers(1, n + 1, B))
+        states = _runs(x, ks, [substream(51, b) for b in range(B)])
+        got = [(s.labels.tolist(), s.modes.tolist(), s.cost, s.n_iter) for s in states]
+        assert got == [naive_kmodes(x.codes, int(k), substream(51, b), _MAX_ITER) for b, k in enumerate(ks)]
 
 
 class TestEnKModes:

@@ -12,13 +12,12 @@ from catens.rng import substream
 from catens.simgen import DESIGNS, gen_lowdim, gen_noise
 from catens.subspace import (
     SubspaceSet,
-    distinct_count_pmf,
     subspace_ensemble,
     wor_subspaces,
     wr_subspaces,
 )
 
-from .reference import enumerate_distinct_pmf, exact_distinct_pmf_formula
+from .reference import distinct_count_pmf, enumerate_distinct_pmf, exact_distinct_pmf_formula
 from .test_ensemble import two_block_table
 
 
