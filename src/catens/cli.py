@@ -4,8 +4,9 @@ Subcommands: ``cluster`` (one dataset in, labels and optional Newick out),
 ``experiment`` (replicated method comparison with a mean(sd) results
 table), and ``simulate`` (export generated datasets).  The method name alone
 picks the pipeline; WOR and WR wrap ENAL in random-subspace ensembling.  A
-flag that no part of the run reads (see ``READS``) is refused.  Exit
-codes: 0 on success, 1 for usage errors (or out of memory), 2 for data errors.
+flag that no part of the run reads (see ``READS``) is refused.  ``main`` returns every
+exit code, parser refusals included (only ``--help`` exits): 0 on success, 1 for usage
+errors (or out of memory), 2 for data errors.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def run_method(
     name = name.upper()
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; expected one of {', '.join(METHODS)}")
+    if not 1 <= k <= x.n:
+        raise ValueError(f"cluster count must lie in [1, {x.n}], got {k}")
     if name in ("WOR", "WR"):
         cfg = EnsembleConfig(B=opts.B, seed=child_seed(opts.seed, 2), alpha=opts.alpha)
         subspaces = wor_subspaces if name == "WOR" else wr_subspaces
@@ -188,10 +191,10 @@ def _load_input(args: argparse.Namespace) -> tuple[CategoricalMatrix, Clustering
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse defaults to 2, which we reserve for data errors)
+    # main returns a usage problem as exit 1 (argparse would exit 2, which we keep for data errors)
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _one_char(text: str) -> str:
@@ -209,26 +212,20 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truth-column", help="CSV column holding true labels (name or index)")
 
 
+def _integer(low: int) -> Callable[[str], int]:
+    """The reader of an integer flag of at least ``low``, in ASCII digits alone (``int`` reads ``1_0``)."""
+    def integer(text: str) -> int:  # past Python's digit limit, int raises: "invalid integer value"
+        if text.isascii() and text.isdecimal() and int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {('non-negative', 'positive')[low]} integer, got {text!r}")
+    return integer
+
+
 def _sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_integer(0), text.split(",")))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _non_negative(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _positive(text: str) -> int:
-    try:
-        if (value := int(text)) >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _alpha(text: str) -> float:
@@ -252,19 +249,19 @@ def _add_source_flags(p: argparse.ArgumentParser, other: str, **kwargs) -> None:
                      help="low-dimensional simulated design")
     src.add_argument("--seq-design", choices=sorted(SEQ_DESIGNS), help="high-dimensional sequence simulator")
     src.add_argument(other, **kwargs)
-    p.add_argument("--seq-j", type=int, help="total dimension for --seq-design")
+    p.add_argument("--seq-j", type=_integer(1), help="total dimension for --seq-design")
     p.add_argument("--seq-sizes", type=_sizes, help="comma-separated cluster sizes for --seq-design")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     default = MethodOptions()
-    p.add_argument("--ensemble-size", type=_positive, default=default.B, metavar="B", dest="B",
+    p.add_argument("--ensemble-size", type=_integer(1), default=default.B, metavar="B", dest="B",
                    help=f"base clusterings per ensemble (default {default.B}; EN methods, ENKM, WOR, WR)")
     p.add_argument("--alpha", type=_alpha, default=default.alpha,
                    help=f"small-cluster deferral fraction (default {default.alpha:g}; HC and EN methods, WOR, WR)")
-    p.add_argument("--blocks", type=_positive, metavar="M",
+    p.add_argument("--blocks", type=_integer(1), metavar="M",
                    help="subspace count (WOR, WR; WR default 200, WOR default random lengths)")
-    p.add_argument("--seed", type=_non_negative, default=default.seed,
+    p.add_argument("--seed", type=_integer(0), default=default.seed,
                    help=f"RNG seed (default {default.seed}); allowed with every method, "
                         "though HC methods draw none")
     p.add_argument("--normalize", action="store_true",
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("cluster", help="cluster one dataset")
     pc.add_argument("input", help="CSV table or aligned FASTA file")
     pc.add_argument("--method", required=True, help="one of " + ", ".join(METHODS))
-    pc.add_argument("--k", type=_positive, required=True, help="final cluster count")
+    pc.add_argument("--k", type=_integer(1), required=True, help="final cluster count")
     pc.add_argument("--output", help="labels CSV path (default: stdout)")
     pc.add_argument("--newick", help="write the dendrogram to this Newick file")
     pc.add_argument("--save-dissimilarity", help="export the pairwise dissimilarity as square CSV")
@@ -292,17 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(pe, "--input", help="CSV file with a truth column")
     pe.add_argument("--methods", required=True, help="comma-separated method names",
                     type=lambda text: tuple(m.strip().upper() for m in text.split(",") if m.strip()))
-    pe.add_argument("--replicates", type=_positive, default=1)
-    pe.add_argument("--k", type=_positive, help="final cluster count (default: from design/truth)")
+    pe.add_argument("--replicates", type=_integer(1), default=1)
+    pe.add_argument("--k", type=_integer(1), help="final cluster count (default: from design/truth)")
     pe.add_argument("--output", help="write the TSV results table here")
-    pe.add_argument("--workers", type=_positive, default=1, help="parallel replicate workers (default 1)")
+    pe.add_argument("--workers", type=_integer(1), default=1, help="parallel replicate workers (default 1)")
     _add_method_flags(pe)
     _add_io_flags(pe)
 
     ps = sub.add_parser("simulate", help="generate and export a dataset")
     _add_source_flags(ps, "--noise", type=_noise, metavar="N,J,S", help="uniform noise table")
-    ps.add_argument("--seed", type=_non_negative, default=0)
-    ps.add_argument("--replicate", type=_non_negative, default=0)
+    ps.add_argument("--seed", type=_integer(0), default=0)
+    ps.add_argument("--replicate", type=_integer(0), default=0)
     ps.add_argument("--output", required=True, help=".csv or .fasta destination (.fasta: not with --design)")
     ps.add_argument("--truth-out", help="sidecar truth CSV (FASTA output of --seq-design)")
     ps.add_argument("--delimiter", type=_one_char, default=",", help="CSV output delimiter (default ',')")
@@ -333,13 +330,18 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
-def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """A flag of ``READS`` that no part of the run reads is a usage error,
-    unless it holds its default, so one config file can serve every run.
-    An unknown method, which ``READS`` cannot name, is reported first."""
+def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Every refusal that the flags alone decide, before any input is read or drawn.  Usage
+    errors (exit 1) first: a second ``--config``; an unknown method, which ``READS`` cannot
+    name; a flag of ``READS`` that no part of the run reads, unless it holds its default (so
+    one config file serves every run); a FASTA output of codes past 9 (``--design``, or
+    ``--noise`` of over 10 symbols).  Then data errors (exit 2): a file to be written into a
+    missing directory or over a directory, and ``experiment --input`` without truth labels."""
+    if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
+        raise ValueError("--config may be given once, spelled in full")
     parts = [f"--{s.replace('_', '-')}" for s in ("design", "seq_design", "noise") if getattr(args, s, None)]
+    fasta = args.command == "simulate" and Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
     if args.command == "simulate":
-        fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
         parts.append(("FASTA output of --seq-design" if args.seq_design else "FASTA output")
                      if fasta else "CSV output")
     else:
@@ -352,12 +354,9 @@ def _refuse_unread(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     for action in command._actions:
         if action.dest in unread and getattr(args, action.dest) != action.default:
             raise ValueError(f"{action.option_strings[0]} is not read by {', '.join(parts)}")
-
-
-def _refuse_before_io(args: argparse.Namespace) -> None:
-    """Data errors that the flags alone show, raised before any input is read or
-    output written: a file to be written into a missing directory or over a
-    directory, and an ``experiment`` on input without truth labels to score against."""
+    if fasta and (args.design or args.noise and args.noise[2] > 10):
+        codes = "--design codes run up to 20" if args.design else f"--noise codes run up to {args.noise[2] - 1}"
+        raise ValueError(f"FASTA holds one character per position, but {codes}")
     for dest in ("output", "newick", "save_dissimilarity", "truth_out"):
         if (path := getattr(args, dest, None)) and Path(path).is_dir():
             raise DataError(f"--{dest.replace('_', '-')}: {path!r} is a directory")
@@ -429,16 +428,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
-    if fasta and args.design:
-        raise ValueError("FASTA holds one character per position, but --design codes run up to 20")
     if args.noise is None:
         x, truth = _draw(args.design, args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
     else:
         x, truth = gen_noise(*args.noise, seed=args.seed, replicate=args.replicate), None
     # the generators' symbols: nucleotides for --seq-design, the code itself otherwise
     table = (np.array(NUCLEOTIDES)[x.codes] if args.seq_design else x.codes.astype(str)).tolist()
-    if fasta and (bad := next((s for row in table for s in row if len(s) != 1), None)) is not None:
-        raise ValueError(f"FASTA needs one character per position, got the symbol {bad!r}")
     ids = [str(i) for i in range(x.n)]
     write = (lambda p: catio.write_fasta(p, list(zip(ids, map("".join, table))))) if fasta else (
         lambda p: catio.write_categorical_csv(p, table, truth=truth, delimiter=args.delimiter))
@@ -451,10 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv))
-        if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
-            raise ValueError("--config may be given once, spelled in full")
-        _refuse_unread(parser, args)
-        _refuse_before_io(args)
+        _refuse(parser, args)
         commands = {"cluster": _cmd_cluster, "experiment": _cmd_experiment, "simulate": _cmd_simulate}
         return commands[args.command](args)
     except (DataError, OSError, UnicodeDecodeError) as exc:

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catens import cli
+from catens import cli, ensemble
 from catens import io as catio
 from catens.cli import ExperimentSpec, MethodOptions, build_parser, main, run_experiment, run_method
 from catens.core import encode
@@ -109,6 +109,20 @@ class TestRunMethod:
         x, _ = gen_lowdim(DESIGNS["D10"], seed=3)
         with pytest.raises(ValueError):
             run_method("DBSCAN", x, 2, MethodOptions())
+
+    @pytest.mark.parametrize("method", ["HCAL", "ENAL", "WR"])
+    def test_cluster_count_out_of_range_is_refused_before_any_work(self, monkeypatch, method):
+        # the cut would refuse it too, but only after the Hamming pass, the
+        # agglomeration or every WR subspace
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked on a cluster count that no cut can give")
+
+        for module, name in ((cli, "hamming"), (ensemble, "hamming"), (cli, "wr_subspaces")):
+            monkeypatch.setattr(module, name, no_work)
+        x, _ = gen_lowdim(DESIGNS["D10"], seed=3)
+        for k in (x.n + 1, 0):
+            with pytest.raises(ValueError, match=rf"^cluster count must lie in \[1, {x.n}\], got {k}$"):
+                run_method(method, x, k, MethodOptions(B=6, seed=5))
 
 
 class TestClusterCommand:
@@ -232,9 +246,7 @@ class TestClusterCommand:
     def test_multi_character_delimiter_is_usage_error(self, tmp_path):
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, substream(71))
-        with pytest.raises(SystemExit) as err:
-            main(["cluster", str(data), "--method", "HCAL", "--k", "2", "--delimiter", ";;"])
-        assert err.value.code == 1
+        assert main(["cluster", str(data), "--method", "HCAL", "--k", "2", "--delimiter", ";;"]) == 1
 
     @pytest.mark.parametrize("method", ["HCAL", "ENAL", "ENKM", "WR", "WOR"])
     def test_one_row_is_data_error(self, tmp_path, method, capsys):
@@ -269,9 +281,7 @@ class TestClusterCommand:
     def test_zero_blocks_is_usage_error(self, tmp_path, method):
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, substream(72))
-        with pytest.raises(SystemExit) as err:
-            main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"])
-        assert err.value.code == 1
+        assert main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"]) == 1
 
     @pytest.mark.parametrize(
         "flag", [["--header"], ["--delimiter", ";"], ["--id-column", "0"], ["--truth-column", "2"]],
@@ -313,9 +323,7 @@ class TestClusterCommand:
     def test_deleted_flags_are_usage_errors(self, tmp_path, flag):
         data = tmp_path / "blocks.csv"
         write_blocks_csv(data, substream(73))
-        with pytest.raises(SystemExit) as err:
-            main(["cluster", str(data), "--method", "ENAL", "--k", "2", *flag])
-        assert err.value.code == 1
+        assert main(["cluster", str(data), "--method", "ENAL", "--k", "2", *flag]) == 1
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         rng = substream(66)
@@ -448,10 +456,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_non_positive_workers_is_usage_error(self, workers):
-        argv = ["experiment", "--design", "D10", "--methods", "HCAL", "--workers", workers]
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 1
+        assert main(["experiment", "--design", "D10", "--methods", "HCAL", "--workers", workers]) == 1
 
     def test_flag_read_by_any_listed_method(self):
         argv = ["experiment", "--design", "D10", "--alpha", "0.05", "--methods"]
@@ -485,9 +490,7 @@ class TestExperimentCommand:
             ExperimentSpec(methods=("HCAL",), design="D1", seq_sizes=(25, 25))
 
     def test_non_integer_seq_sizes_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["experiment", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--methods", "HCAL"])
-        assert err.value.code == 1
+        assert main(["experiment", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--methods", "HCAL"]) == 1
         assert "--seq-sizes: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
 
     def test_input_is_read_once(self, tmp_path, monkeypatch):
@@ -605,9 +608,7 @@ class TestSimulateCommand:
 
     def test_non_integer_seq_sizes_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--output", str(out)])
-        assert err.value.code == 1
+        assert main(["simulate", "--seq-design", "low-noise", "--seq-sizes", "1,a", "--output", str(out)]) == 1
         assert "--seq-sizes: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -656,6 +657,23 @@ class TestSimulateCommand:
         assert "FASTA holds one character per position" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fasta_of_noise_past_ten_symbols_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
+        # --noise N,J,S draws the codes 0..S-1, one character each only while S <= 10
+        draw = cli.gen_noise
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a table for an output that cannot hold it")
+
+        monkeypatch.setattr(cli, "gen_noise", no_draw)
+        out = tmp_path / "sim.fasta"
+        assert main(["simulate", "--noise", "5,4,12", "--output", str(out)]) == 1
+        assert "FASTA holds one character per position, but --noise codes run up to 11" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "gen_noise", draw)
+        assert main(["simulate", "--noise", "5,4,10", "--output", str(out)]) == 0
+        records = catio.read_fasta(out)
+        assert len(records) == 5 and all(len(seq) == 4 and seq.isdecimal() for _, seq in records)
+
     @pytest.mark.parametrize(
         "source", [["--design", "D3", "--seed", "5"], ["--noise", "5,4,12"]], ids=["design", "noise"]
     )
@@ -667,9 +685,7 @@ class TestSimulateCommand:
 
     def test_bad_noise_spec_is_usage_error(self, tmp_path, capsys):
         # a table with no rows or no columns is a bad request, not bad data
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")])
-        assert err.value.code == 1
+        assert main(["simulate", "--noise", "6,4", "--output", str(tmp_path / "x.csv")]) == 1
         assert "argument --noise: expected N,J,S integers, got '6,4'" in capsys.readouterr().err
         for spec in ("0,3,2", "3,0,2"):
             assert main(["simulate", "--noise", spec, "--output", str(tmp_path / "x.csv")]) == 1
@@ -779,9 +795,7 @@ class TestConfigFile:
         (tmp_path / "b.cfg").write_text("ensemble-size=0\n", encoding="utf-8")
         (tmp_path / "nested.cfg").write_text("config=b.cfg\n", encoding="utf-8")
         argv = ["cluster", "four.csv", "--method", "ENAL", "--k", "2", "--header", "--output", "l.csv"]
-        with pytest.raises(SystemExit) as err:
-            main(argv + ["--config", "b.cfg"])
-        assert err.value.code == 1
+        assert main(argv + ["--config", "b.cfg"]) == 1
         assert "argument --ensemble-size: expected a positive integer, got '0'" in capsys.readouterr().err
         assert main(argv + first) == 0
         assert main(argv + first + second) == 1
@@ -790,9 +804,8 @@ class TestConfigFile:
 
 class TestParser:
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(["cluster"])  # missing required flags
-        assert err.value.code == 1
+        assert main(["cluster"]) == 1  # missing required flags
+        assert "usage error: the following arguments are required" in capsys.readouterr().err
 
     def test_every_flag_says_who_reads_it(self):
         # a flag is either read by every run of its command or listed in READS
@@ -825,9 +838,7 @@ class TestParser:
     def test_negative_seed_or_replicate_is_refused_at_parse_time(self, tmp_path, capsys, monkeypatch, argv):
         # HC methods draw nothing, so only the parser refuses a negative seed for every method alike
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            main([*argv, "-5"])
-        assert err.value.code == 1
+        assert main([*argv, "-5"]) == 1
         assert f"argument {argv[-1]}: expected a non-negative integer, got '-5'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -856,12 +867,47 @@ class TestParser:
     def test_a_value_out_of_range_is_refused_at_parse_time(self, tmp_path, capsys, monkeypatch, argv, message):
         # in.csv does not exist: reading it first would end in a data error (exit 2)
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 1
+        assert main(argv) == 1
         out, stderr = capsys.readouterr()
         assert out == ""
         assert f"argument {message}" in stderr
+
+    @pytest.mark.parametrize("spelling", ["1_0", "+5", " 5", "٥"], ids=["underscore", "plus", "space", "arabic"])
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["cluster", "in.csv", "--method", "HCAL", "--k"], "{}"),
+            (["cluster", "in.csv", "--method", "ENAL", "--k", "2", "--ensemble-size"], "{}"),
+            (["cluster", "in.csv", "--method", "WR", "--k", "2", "--blocks"], "{}"),
+            (["cluster", "in.csv", "--method", "ENAL", "--k", "2", "--seed"], "{}"),
+            (["experiment", "--design", "D10", "--methods", "HCAL", "--replicates"], "{}"),
+            (["experiment", "--design", "D10", "--methods", "HCAL", "--workers"], "{}"),
+            (["experiment", "--seq-design", "low-noise", "--methods", "HCAL", "--seq-j"], "{}"),
+            (["simulate", "--seq-design", "low-noise", "--output", "sim.csv", "--seq-sizes"], "10,{},10,10,10"),
+            (["simulate", "--output", "sim.csv", "--noise"], "5,{},3"),
+            (["simulate", "--design", "D10", "--output", "sim.csv", "--replicate"], "{}"),
+        ],
+        ids=["k", "ensemble-size", "blocks", "seed", "replicates", "workers", "seq-j", "seq-sizes", "noise",
+             "replicate"],
+    )
+    def test_an_integer_in_other_than_ascii_digits_is_refused(
+        self, tmp_path, capsys, monkeypatch, argv, template, spelling
+    ):
+        # int() reads all of these spellings; no flag takes them
+        def no_input(*args, **kwargs):
+            raise AssertionError("read or drew the input of a refused run")
+
+        for name in ("read_categorical_csv", "load_fasta_matrix"):
+            monkeypatch.setattr(catio, name, no_input)
+        for name in ("gen_lowdim", "gen_highdim", "gen_noise"):
+            monkeypatch.setattr(cli, name, no_input)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("a,b\nb,a\na,a\n", encoding="utf-8")
+        assert main([*argv, template.format(spelling)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: argument {argv[-1]}: expected " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -931,6 +977,21 @@ class TestRefuseBeforeIO:
         assert f"{flag}: 'taken' is a directory" in err
         assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta", "taken"]
         assert not any((workdir / "taken").iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "in.csv", "--method", "ROCK", "--k", "2", "--output", "missing/lab.csv"], "unknown method"),
+            (["experiment", "--input", "in.csv", "--methods", "KMODES", "--alpha", "0.1"], "--alpha is not read"),
+            (["simulate", "--design", "D1", "--output", "missing/sim.fasta"], "FASTA holds one character"),
+        ],
+        ids=["unknown-method", "unread-flag", "fasta-of-design"],
+    )
+    def test_a_usage_error_comes_before_a_data_error(self, workdir, capsys, argv, message):
+        # each run also writes into a missing directory or lacks truth labels (exit 2)
+        assert main(argv) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.csv", "in.fasta"]
 
     @pytest.mark.parametrize("source", ["in.fasta", "in.csv"], ids=["fasta", "csv-without-truth-column"])
     def test_experiment_on_input_without_truth_is_data_error(self, workdir, capsys, source):
