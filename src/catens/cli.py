@@ -27,9 +27,7 @@ from .hclust import Dendrogram, agglomerate, check_alpha, cut_with_outlier_defer
 from .kmodes import en_kmodes, kmodes
 from .metrics import classification_rate, format_results_table, replicate_summary
 from .rng import child_seed
-from .simgen import (
-    DESIGNS, NUCLEOTIDES, SEQ_HIGH_NOISE, SEQ_LOW_NOISE, gen_highdim, gen_lowdim, gen_noise,
-)
+from .simgen import DESIGNS, NUCLEOTIDES, SEQ_DESIGNS, gen_highdim, gen_lowdim, gen_noise
 from .subspace import subspace_ensemble, wor_subspaces, wr_subspaces
 
 HC_METHODS = {"HCSL": "SL", "HCAL": "AL", "HCCL": "CL"}
@@ -46,8 +44,6 @@ READS = {
     "--seq-design": {"seq_j", "seq_sizes"}, "FASTA output of --seq-design": {"truth_out"},
     "CSV output": {"delimiter"},
 }
-
-SEQ_DESIGNS = {"low-noise": SEQ_LOW_NOISE, "high-noise": SEQ_HIGH_NOISE}
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,15 @@ def run_method(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A replicated comparison of methods on one data source: a simulated
-    ``design`` or ``seq_design``, or ``data = (name, table, truth)`` loaded
-    once from a file, whose name heads the results column."""
+    """A replicated comparison of methods on one data source: a simulated ``design`` (in ``DESIGNS``,
+    or in ``SEQ_DESIGNS`` with ``seq_j`` and ``seq_sizes``), or ``data = (name, table, truth)``
+    loaded once from a file, whose name heads the results column."""
 
     methods: tuple[str, ...]
     replicates: int = 1
     k_final: int | None = None
     seed: int = 0
     design: str | None = None
-    seq_design: str | None = None
     seq_j: int | None = None
     seq_sizes: tuple[int, ...] | None = None
     data: tuple[str, CategoricalMatrix, Clustering | None] | None = None
@@ -113,36 +108,35 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("at least one method is required")
-        for m in self.methods:
+        for at, m in enumerate(self.methods):
             if m.upper() not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            if m.upper() in map(str.upper, self.methods[:at]):
+                raise ValueError(f"method {m!r} is named twice")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        sources = [s is not None for s in (self.design, self.seq_design, self.data)]
-        if sum(sources) != 1:
-            raise ValueError("exactly one of design, seq_design or data is required")
-        if self.design is not None and self.design not in DESIGNS:
+        if (self.design is None) == (self.data is None):
+            raise ValueError("exactly one of design or data is required")
+        if self.design not in (None, *DESIGNS, *SEQ_DESIGNS):
             raise ValueError(f"unknown design {self.design!r}")
-        if self.seq_design is not None and self.seq_design not in SEQ_DESIGNS:
-            raise ValueError(f"unknown sequence design {self.seq_design!r}")
-        if self.seq_design is None and (self.seq_j, self.seq_sizes) != (None, None):
-            raise ValueError("seq_j and seq_sizes apply only to seq_design")
+        if self.design not in SEQ_DESIGNS and (self.seq_j, self.seq_sizes) != (None, None):
+            raise ValueError("seq_j and seq_sizes apply only to a sequence design")
 
 
-def _draw(design: str | None, seq_design: str | None, seq_j: int | None, seq_sizes: tuple[int, ...] | None,
+def _draw(design: str, seq_j: int | None, seq_sizes: tuple[int, ...] | None,
           seed: int, replicate: int) -> tuple[CategoricalMatrix, Clustering]:
-    """One replicate of a simulated source: the low-dimensional ``design``, or else
-    ``seq_design`` with ``seq_j`` and ``seq_sizes``, when given, in place of its own."""
-    if design is not None:
+    """One replicate of the simulated source ``design``: a low-dimensional design, or a
+    sequence design with ``seq_j`` and ``seq_sizes``, when given, in place of its own."""
+    if design in DESIGNS:
         return gen_lowdim(DESIGNS[design], seed=seed, replicate=replicate)
     changes = {k: v for k, v in (("J", seq_j), ("sizes", seq_sizes)) if v is not None}
-    return gen_highdim(replace(SEQ_DESIGNS[seq_design], **changes), seed=seed, replicate=replicate)
+    return gen_highdim(replace(SEQ_DESIGNS[design], **changes), seed=seed, replicate=replicate)
 
 
 def _replicate_rates(spec: ExperimentSpec, replicate: int) -> dict[str, float]:
-    source = (spec.design, spec.seq_design, spec.seq_j, spec.seq_sizes)
+    source = (spec.design, spec.seq_j, spec.seq_sizes)
     x, truth = spec.data[1:] if spec.data else _draw(*source, child_seed(spec.seed, 0), replicate)
     if truth is None:
         raise DataError("classification rates need truth labels; none were provided")
@@ -169,7 +163,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, dict[str, tuple[float, flo
             per_rep = list(pool.map(_replicate_rates, [spec] * spec.replicates, range(spec.replicates)))
     else:
         per_rep = [_replicate_rates(spec, r) for r in range(spec.replicates)]
-    column = spec.design or spec.seq_design or spec.data[0]
+    column = spec.design or spec.data[0]
     results: dict[str, dict[str, tuple[float, float]]] = {}
     for method in spec.methods:
         results[method] = {column: replicate_summary([rep[method] for rep in per_rep])}
@@ -272,7 +266,7 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="catens", description=__doc__)
+    parser = _Parser(prog="catens", description="Ensemble clustering of categorical data and aligned sequences.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pc = sub.add_parser("cluster", help="cluster one dataset")
@@ -331,12 +325,12 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Every refusal that the flags alone decide, before any input is read or drawn.  Usage
-    errors (exit 1) first: a second ``--config``; an unknown method, which ``READS`` cannot
-    name; a flag of ``READS`` that no part of the run reads, unless it holds its default (so
-    one config file serves every run); a FASTA output of codes past 9 (``--design``, or
-    ``--noise`` of over 10 symbols).  Then data errors (exit 2): a file to be written into a
-    missing directory or over a directory, and ``experiment --input`` without truth labels."""
+    """Every refusal that the flags alone decide, before any input is read or drawn.  Usage errors (exit 1)
+    first: a second ``--config``; an unknown method, which ``READS`` cannot name, or one named twice; a flag
+    of ``READS`` that no part of the run reads, unless it holds its default (so one config file serves every
+    run); a FASTA output of codes past 9 (``--design``, or ``--noise`` of over 10 symbols); two output flags
+    naming one file.  Then data errors (exit 2): a file to be written into a missing directory or over a
+    directory, and ``experiment --input`` without truth labels."""
     if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
         raise ValueError("--config may be given once, spelled in full")
     parts = [f"--{s.replace('_', '-')}" for s in ("design", "seq_design", "noise") if getattr(args, s, None)]
@@ -348,6 +342,8 @@ def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
         methods = [args.method.upper()] if args.command == "cluster" else list(args.methods)
         if unknown := [m for m in methods if m not in METHODS]:
             raise ValueError(f"unknown method {unknown[0]!r}; expected one of {', '.join(METHODS)}")
+        if twice := [m for at, m in enumerate(methods) if m in methods[:at]]:
+            raise ValueError(f"method {twice[0]!r} is named twice")
         parts = [*methods, *(parts or [f"{_input_kind(args).upper()} input"])]
     unread = set().union(*READS.values()).difference(*(READS.get(p, ()) for p in parts))
     command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
@@ -357,11 +353,17 @@ def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if fasta and (args.design or args.noise and args.noise[2] > 10):
         codes = "--design codes run up to 20" if args.design else f"--noise codes run up to {args.noise[2] - 1}"
         raise ValueError(f"FASTA holds one character per position, but {codes}")
-    for dest in ("output", "newick", "save_dissimilarity", "truth_out"):
-        if (path := getattr(args, dest, None)) and Path(path).is_dir():
-            raise DataError(f"--{dest.replace('_', '-')}: {path!r} is a directory")
-        if path and not Path(path).parent.is_dir():
-            raise DataError(f"--{dest.replace('_', '-')}: {str(Path(path).parent)!r} is not a directory")
+    outputs = {f"--{d.replace('_', '-')}": p for d in ("output", "newick", "save_dissimilarity", "truth_out")
+               if (p := getattr(args, d, None))}
+    named: dict[str, str] = {}
+    for flag, path in outputs.items():
+        if (first := named.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{first} and {flag} name one file")
+    for flag, path in outputs.items():
+        if Path(path).is_dir():
+            raise DataError(f"{flag}: {path!r} is a directory")
+        if not Path(path).parent.is_dir():
+            raise DataError(f"{flag}: {str(Path(path).parent)!r} is not a directory")
     if args.command == "experiment" and args.input and (_input_kind(args) == "fasta" or args.truth_column is None):
         raise DataError("experiment --input needs truth labels: a CSV file with --truth-column")
 
@@ -392,14 +394,13 @@ def _write_all(writes: dict[str | None, Callable[[str], None]]) -> None:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     x, truth = _load_input(args)
     labels, tree = run_method(args.method, x, args.k, _options(args))
-    ids = x.row_ids or tuple(str(i) for i in range(x.n))
     _write_all({
-        args.output: lambda p: catio.write_labels_csv(p, ids, labels.labels),
-        args.newick: lambda p: catio.write_newick(p, tree, labels=ids),
+        args.output: lambda p: catio.write_labels_csv(p, x.row_ids, labels.labels),
+        args.newick: lambda p: catio.write_newick(p, tree, labels=x.row_ids),
         args.save_dissimilarity: lambda p: catio.write_dissimilarity_csv(p, hamming(x, normalized=args.normalize)),
     })
     if not args.output:
-        catio.write_labels_csv(sys.stdout, ids, labels.labels)
+        catio.write_labels_csv(sys.stdout, x.row_ids, labels.labels)
     if truth is not None:
         sys.stderr.write(f"classification rate: {classification_rate(labels, truth):.4f}\n")
     return 0
@@ -411,8 +412,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         k_final=args.k,
         seed=args.seed,
-        design=args.design,
-        seq_design=args.seq_design,
+        design=args.design or args.seq_design,
         seq_j=args.seq_j,
         seq_sizes=args.seq_sizes,
         data=(Path(args.input).name, *_load_input(args)) if args.input else None,
@@ -429,7 +429,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
     if args.noise is None:
-        x, truth = _draw(args.design, args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
+        x, truth = _draw(args.design or args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
     else:
         x, truth = gen_noise(*args.noise, seed=args.seed, replicate=args.replicate), None
     # the generators' symbols: nucleotides for --seq-design, the code itself otherwise

@@ -248,7 +248,7 @@ def plane_mismatches(
     ``compared`` is ``None``.  Both tables are float64, which holds every count exactly, so a
     caller divides them in place.  Rows of ``pa`` go in blocks whose temporary holds at most
     ``_BLOCK_ELEMS`` words.  A self-comparison (``pa is pb``, ``va is vb``) counts each
-    pair ``i <= k`` once and mirrors it."""
+    pair ``i <= k`` once and mirrors it; its diagonal, a row against itself, is exactly +0.0."""
     (planes, n, words), m = pa.shape, pb.shape[1]
     counts = np.empty((n, m), dtype=np.float64)
     compared = None if va is None else np.empty_like(counts)
@@ -314,7 +314,6 @@ def hamming(x: CategoricalMatrix, normalized: bool = False) -> DissimilarityMatr
         raise DataError(f"rows {i} and {k} share no comparable (non-gap) positions")
     if normalized:
         counts /= compared
-    np.fill_diagonal(counts, 0.0)
     return DissimilarityMatrix(values=counts, kind="normalized" if normalized else "raw-count")
 
 

@@ -105,7 +105,6 @@ def ensemble_dissimilarity(w: IncidenceMatrix) -> DissimilarityMatrix:
     """
     counts, _ = mismatch_counts(w.entries)
     counts /= w.B
-    np.fill_diagonal(counts, 0.0)
     return DissimilarityMatrix(values=counts, kind="ensemble")
 
 

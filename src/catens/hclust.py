@@ -153,12 +153,6 @@ def _components(tree: Dendrogram, k: int) -> list[np.ndarray]:
     return [order[start[c]:start[c] + size[c]] for c in sorted(roots, key=lambda c: order[start[c]])]
 
 
-def cut(tree: Dendrogram, k: int) -> Clustering:
-    """Undo the last ``k - 1`` merges; components are labeled in order of
-    their smallest member index."""
-    return cut_with_outlier_deferral(tree, k)
-
-
 def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> Clustering:
     """Cut at ``k``, then absorb clusters holding less than ``alpha * n`` of
     the data into their nearest surviving cluster.
@@ -188,6 +182,9 @@ def cut_with_outlier_deferral(tree: Dendrogram, k: int, alpha: float = 0.0) -> C
     means = [tree.source.values[np.ix_(deferred, g)].mean(axis=1) for g in survivors]
     labels[deferred] = np.argmin(means, axis=0)
     return relabel_dense(labels)
+
+
+cut = cut_with_outlier_deferral  # the plain cut's name stays: tests call it, and the benchmark's tracer patches it
 
 
 _NEWICK_SAFE = frozenset(

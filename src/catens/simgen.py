@@ -1,6 +1,6 @@
 """Reproducible simulated datasets.
 
-Three generators: the low-dimensional binomial designs (J=20 columns, each
+Three generators: the low-dimensional binomial designs (``LOWDIM_J`` columns, each
 with its own alphabet size and per-cluster success probability), the
 nucleotide-style high-dimensional simulator (five signal blocks plus a
 noise block over the four-letter alphabet), and plain IID uniform noise.
@@ -23,6 +23,8 @@ NUCLEOTIDES = ("A", "T", "C", "G")
 # P(C) = P(G) = 1/3 and P(A) = P(T) = 1/6 in A, T, C, G order
 SIGNAL_DIST = (1 / 6, 1 / 6, 1 / 3, 1 / 3)
 
+LOWDIM_J = 20  # the column count of every low-dimensional design
+
 
 @dataclass(frozen=True)
 class Design:
@@ -31,13 +33,10 @@ class Design:
     name: str
     K: int
     sizes: tuple[int, ...]
-    J: int = 20
 
     def __post_init__(self) -> None:
         if len(self.sizes) != self.K or any(s < 1 for s in self.sizes):
             raise ValueError("need one positive size per cluster")
-        if self.J < 1:
-            raise ValueError("J must be >= 1")
 
     @property
     def n(self) -> int:
@@ -56,8 +55,8 @@ DESIGNS: dict[str, Design] = {
         Design("D7", 5, (10, 10, 30, 30, 45)),
         Design("D8", 5, (10, 10, 10, 35, 60)),
         Design("D9", 5, (10, 10, 25, 40, 40)),
-        Design("D10", 2, (25, 25), 20),
-        Design("D11", 2, (15, 35), 20),
+        Design("D10", 2, (25, 25)),
+        Design("D11", 2, (15, 35)),
     )
 }
 
@@ -89,8 +88,9 @@ class SeqDesign:
         return sum(self.sizes)
 
 
-SEQ_LOW_NOISE = SeqDesign(block_probs=(0.15, 0.15, 0.15, 0.15, 0.15, 0.25))
+SEQ_LOW_NOISE = SeqDesign()
 SEQ_HIGH_NOISE = SeqDesign(block_probs=(0.1, 0.1, 0.1, 0.1, 0.1, 0.5))
+SEQ_DESIGNS = {"low-noise": SEQ_LOW_NOISE, "high-noise": SEQ_HIGH_NOISE}
 
 
 def _truth(sizes: tuple[int, ...]) -> Clustering:
@@ -113,7 +113,7 @@ def gen_lowdim(design: Design, seed: int = 0, replicate: int = 0) -> tuple[Categ
     lower on D5 than on D1, while the published table does.
     """
     sizes = design.sizes
-    n, J, K = design.n, design.J, design.K
+    n, J, K = design.n, LOWDIM_J, design.K
     codes = np.empty((n, J), dtype=code_dtype(21))  # stored as is: cardinalities are at most 21
     cards = np.empty(J, dtype=np.int64)
     for j in range(J):

@@ -343,6 +343,7 @@ class TestClusterCommand:
         assert code == 0
         rows = dpath.read_text().strip().splitlines()
         assert len(rows) == 8 and len(rows[0].split(",")) == 8
+        assert [row.split(",")[i] for i, row in enumerate(rows)] == ["0"] * 8  # never "-0"
 
     def test_gapped_fasta_outputs_are_pinned(self, tmp_path):
         # SHA-256 of every file a gapped FASTA run writes: a change that
@@ -453,6 +454,18 @@ class TestExperimentCommand:
 
     def test_unknown_method_is_usage_error(self):
         assert main(["experiment", "--design", "D10", "--methods", "NOPE"]) == 1
+
+    def test_a_method_named_twice_is_refused_before_the_draw(self, capsys, monkeypatch):
+        # the results table keys rows by method, so a second ENAL row would overwrite the first
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew the data of a refused run")
+
+        monkeypatch.setattr(cli, "gen_lowdim", no_draw)
+        assert main(["experiment", "--design", "D10", "--methods", "ENAL,enal,HCAL", "--replicates", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error: method 'ENAL' is named twice" in err
+        with pytest.raises(ValueError, match="method 'ENAL' is named twice"):
+            ExperimentSpec(methods=("enal", "ENAL"), design="D1")
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_non_positive_workers_is_usage_error(self, workers):
@@ -807,6 +820,14 @@ class TestParser:
         assert main(["cluster"]) == 1  # missing required flags
         assert "usage error: the following arguments are required" in capsys.readouterr().err
 
+    def test_help_is_plain_text(self, capsys):
+        # the module docstring is for readers of the code, not for --help
+        with pytest.raises(SystemExit) as leave:
+            main(["--help"])
+        assert leave.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: catens") and "``" not in out and "READS" not in out
+
     def test_every_flag_says_who_reads_it(self):
         # a flag is either read by every run of its command or listed in READS
         # under the parts of a run that read it, so the unread ones can be refused
@@ -979,13 +1000,45 @@ class TestRefuseBeforeIO:
         assert not any((workdir / "taken").iterdir())
 
     @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "o.txt", "--newick", "o.txt"],
+             "--output and --newick"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "o.txt", "--newick", "./o.txt"],
+             "--output and --newick"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "o.txt",
+              "--save-dissimilarity", "o.txt"], "--output and --save-dissimilarity"),
+            (["simulate", "--seq-design", "low-noise", "--seq-j", "60", "--output", "s.fasta",
+              "--truth-out", "s.fasta"], "--output and --truth-out"),
+        ],
+        ids=["output-newick", "output-newick-other-spelling", "output-save-dissimilarity", "simulate-truth-out"],
+    )
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_two_outputs_naming_one_file_is_usage_error(self, workdir, capsys, argv, flags, exists):
+        # one of the two outputs would be lost; an existing file keeps its bytes
+        names = ["in.csv", "in.fasta"]
+        if exists:
+            target = next(a for a in argv if a in ("o.txt", "s.fasta"))
+            (workdir / target).write_text("kept\n", encoding="utf-8")
+            names = sorted([*names, target])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: {flags} name one file" in err
+        assert sorted(p.name for p in workdir.iterdir()) == names
+        if exists:
+            assert (workdir / target).read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["cluster", "in.csv", "--method", "ROCK", "--k", "2", "--output", "missing/lab.csv"], "unknown method"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "missing/o.txt",
+              "--newick", "missing/o.txt"], "--output and --newick name one file"),
             (["experiment", "--input", "in.csv", "--methods", "KMODES", "--alpha", "0.1"], "--alpha is not read"),
             (["simulate", "--design", "D1", "--output", "missing/sim.fasta"], "FASTA holds one character"),
         ],
-        ids=["unknown-method", "unread-flag", "fasta-of-design"],
+        ids=["unknown-method", "output-clash", "unread-flag", "fasta-of-design"],
     )
     def test_a_usage_error_comes_before_a_data_error(self, workdir, capsys, argv, message):
         # each run also writes into a missing directory or lacks truth labels (exit 2)

@@ -315,6 +315,19 @@ class TestHamming:
         assert hamming(x).values[0, 1] == 1
         assert hamming(x, normalized=True).values[0, 1] == 0.25
 
+    @pytest.mark.parametrize("elems", [1, 7 * 3 * 40 * 2, 2**17], ids=["rows", "7-row-blocks", "one-block"])
+    @pytest.mark.parametrize("normalized, gaps", [(False, False), (True, False), (True, True)],
+                             ids=["raw", "normalized", "normalized-gaps"])
+    def test_diagonal_is_positive_zero_from_the_kernel(self, monkeypatch, elems, normalized, gaps):
+        # no caller fills the diagonal: a row against itself counts 0 mismatches over a positive divisor
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", elems)
+        codes = substream(41).integers(0, 5, size=(40, 70))
+        if gaps:
+            codes[substream(42).random(codes.shape) < 0.2] = GAP_CODE
+        x = CategoricalMatrix(codes, [5] * 70, gap_code=GAP_CODE if gaps else None)
+        diagonal = np.diagonal(hamming(x, normalized=normalized).values)
+        assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+
     def test_no_comparable_positions_rejected(self):
         x = encode([["A", "-"], ["-", "C"]], gap_symbol="-")
         with pytest.raises(DataError):

@@ -116,6 +116,13 @@ class TestEnsembleDissimilarity:
         w = IncidenceMatrix(entries=np.zeros((4, 3), dtype=int))
         assert np.all(ensemble_dissimilarity(w).values == 0)
 
+    @pytest.mark.parametrize("B", [1, 7, 25])
+    def test_diagonal_is_positive_zero_from_the_kernel(self, B):
+        # no caller fills the diagonal: each row shares every base label with itself
+        w = IncidenceMatrix(entries=substream(43).integers(0, 4, size=(30, B)))
+        diagonal = np.diagonal(ensemble_dissimilarity(w).values)
+        assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+
     def test_always_apart_is_one(self):
         w = IncidenceMatrix(entries=np.array([[0, 0], [1, 1]]))
         assert ensemble_dissimilarity(w).values[0, 1] == 1.0

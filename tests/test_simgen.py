@@ -5,6 +5,7 @@ from scipy import stats
 from catens.rng import substream
 from catens.simgen import (
     DESIGNS,
+    LOWDIM_J,
     Design,
     SeqDesign,
     SEQ_HIGH_NOISE,
@@ -18,7 +19,7 @@ from catens.simgen import (
 class TestDesignTable:
     def test_equal_sized_design(self):
         d = DESIGNS["D1"]
-        assert (d.n, d.K, d.sizes, d.J) == (125, 5, (25, 25, 25, 25, 25), 20)
+        assert (d.n, d.K, d.sizes, LOWDIM_J) == (125, 5, (25, 25, 25, 25, 25), 20)
 
     def test_two_cluster_designs(self):
         assert DESIGNS["D10"].sizes == (25, 25) and DESIGNS["D10"].n == 50
@@ -37,7 +38,7 @@ def drawn_parameters(design, seed, replicate=0):
     """``(a_j, p_jk)`` re-drawn from ``substream(seed, replicate, j)`` in the
     order ``gen_lowdim``'s docstring gives."""
     bounds, probs = [], []
-    for j in range(design.J):
+    for j in range(LOWDIM_J):
         rng = substream(seed, replicate, j)
         bounds.append(int(rng.integers(3, 21)))
         probs.append(rng.uniform(0.1, 0.9, size=design.K))
@@ -72,8 +73,8 @@ class TestGenLowdim:
 
     def test_column_marginal_is_binomial(self):
         # one big cluster: the empirical column distribution must match the
-        # binomial pinned by the drawn (a_j, p_j1)
-        design = Design("big", 1, (4000,), J=2)
+        # binomial pinned by the drawn (a_j, p_j1), in two of the columns
+        design = Design("big", 1, (4000,))
         x, _ = gen_lowdim(design, seed=4)
         bounds, probs = drawn_parameters(design, seed=4)
         assert np.array_equal(bounds, x.cardinalities - 1)
