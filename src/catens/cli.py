@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +57,16 @@ class MethodOptions:
     normalize: bool = False
 
 
+def check_methods(methods: Sequence[str]) -> list[str]:
+    """The method names upper-cased, refused (``ValueError``) if one is unknown or named twice."""
+    names = [m.upper() for m in methods]
+    if unknown := [m for m in names if m not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}; expected one of {', '.join(METHODS)}")
+    if twice := [m for at, m in enumerate(names) if m in names[:at]]:
+        raise ValueError(f"method {twice[0]!r} is named twice")
+    return names
+
+
 def run_method(
     name: str,
     x: CategoricalMatrix,
@@ -64,9 +74,7 @@ def run_method(
     opts: MethodOptions,
 ) -> tuple[Clustering, Dendrogram | None]:
     """Dispatch one clustering method by its table name."""
-    name = name.upper()
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; expected one of {', '.join(METHODS)}")
+    [name] = check_methods([name])
     if not 1 <= k <= x.n:
         raise ValueError(f"cluster count must lie in [1, {x.n}], got {k}")
     if name in ("WOR", "WR"):
@@ -108,11 +116,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("at least one method is required")
-        for at, m in enumerate(self.methods):
-            if m.upper() not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-            if m.upper() in map(str.upper, self.methods[:at]):
-                raise ValueError(f"method {m!r} is named twice")
+        check_methods(self.methods)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
@@ -328,22 +332,19 @@ def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Every refusal that the flags alone decide, before any input is read or drawn.  Usage errors (exit 1)
     first: a second ``--config``; an unknown method, which ``READS`` cannot name, or one named twice; a flag
     of ``READS`` that no part of the run reads, unless it holds its default (so one config file serves every
-    run); a FASTA output of codes past 9 (``--design``, or ``--noise`` of over 10 symbols); two output flags
-    naming one file.  Then data errors (exit 2): a file to be written into a missing directory or over a
-    directory, and ``experiment --input`` without truth labels."""
+    run); a FASTA output of codes past 9 (``--design``, or ``--noise`` of over 10 symbols); two output flags,
+    or an output flag and the input, naming one file.  Then data errors (exit 2): a file to be written into a
+    missing directory or over a directory, and ``experiment --input`` without truth labels.  Sets
+    ``args.fasta``: whether ``simulate`` writes FASTA."""
     if getattr(args, "config", None) is not None:  # a --config left after the first was spliced in
         raise ValueError("--config may be given once, spelled in full")
     parts = [f"--{s.replace('_', '-')}" for s in ("design", "seq_design", "noise") if getattr(args, s, None)]
-    fasta = args.command == "simulate" and Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
+    fasta = args.fasta = args.command == "simulate" and Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
     if args.command == "simulate":
         parts.append(("FASTA output of --seq-design" if args.seq_design else "FASTA output")
                      if fasta else "CSV output")
     else:
-        methods = [args.method.upper()] if args.command == "cluster" else list(args.methods)
-        if unknown := [m for m in methods if m not in METHODS]:
-            raise ValueError(f"unknown method {unknown[0]!r}; expected one of {', '.join(METHODS)}")
-        if twice := [m for at, m in enumerate(methods) if m in methods[:at]]:
-            raise ValueError(f"method {twice[0]!r} is named twice")
+        methods = check_methods([args.method] if args.command == "cluster" else args.methods)
         parts = [*methods, *(parts or [f"{_input_kind(args).upper()} input"])]
     unread = set().union(*READS.values()).difference(*(READS.get(p, ()) for p in parts))
     command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
@@ -355,7 +356,7 @@ def _refuse(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
         raise ValueError(f"FASTA holds one character per position, but {codes}")
     outputs = {f"--{d.replace('_', '-')}": p for d in ("output", "newick", "save_dissimilarity", "truth_out")
                if (p := getattr(args, d, None))}
-    named: dict[str, str] = {}
+    named = {os.path.realpath(args.input): "the input"} if getattr(args, "input", None) else {}
     for flag, path in outputs.items():
         if (first := named.setdefault(os.path.realpath(path), flag)) != flag:
             raise ValueError(f"{first} and {flag} name one file")
@@ -427,7 +428,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    fasta = Path(args.output).suffix.lower() in catio.FASTA_SUFFIXES
     if args.noise is None:
         x, truth = _draw(args.design or args.seq_design, args.seq_j, args.seq_sizes, args.seed, args.replicate)
     else:
@@ -435,7 +435,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # the generators' symbols: nucleotides for --seq-design, the code itself otherwise
     table = (np.array(NUCLEOTIDES)[x.codes] if args.seq_design else x.codes.astype(str)).tolist()
     ids = [str(i) for i in range(x.n)]
-    write = (lambda p: catio.write_fasta(p, list(zip(ids, map("".join, table))))) if fasta else (
+    write = (lambda p: catio.write_fasta(p, list(zip(ids, map("".join, table))))) if args.fasta else (
         lambda p: catio.write_categorical_csv(p, table, truth=truth, delimiter=args.delimiter))
     _write_all({args.output: write, args.truth_out: lambda p: catio.write_labels_csv(p, ids, truth.labels)})
     return 0

@@ -17,7 +17,8 @@ up to 128 symbols per column, int16 up to 32,768, int32 beyond (int64 past
 filled straight into a float64 table, exact because every count is an integer
 below 2**53, so the kernel's table becomes the dissimilarity's values with one
 in-place division: each ``n x n`` stage holds one table, not an integer one
-and its float copy.
+and its float copy.  The kernel's row blocks reuse buffers allocated once per
+call and sum popcounts in the narrowest exact type (:func:`plane_mismatches`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 GAP_CODE = -1
 
-# cap on the uint64 words in one block temporary of plane_mismatches() (1 MB),
-# and on the cells of one block of DissimilarityMatrix's integrality check
+# cap on the uint64 words of plane_mismatches()' XOR buffer, all bit planes of one
+# row block (1 MB), and on the cells of one block of DissimilarityMatrix's integrality check
 _BLOCK_ELEMS = 2**17
 # cap on the int32 entries of encode()'s working table (16 MB)
 _RANK_CELLS = 2**22
@@ -246,22 +247,37 @@ def plane_mismatches(
     """``(counts, compared)`` between the rows of two :func:`bit_planes` packings.  With
     packed validity masks ``va``/``vb`` only columns valid in both rows count; without them
     ``compared`` is ``None``.  Both tables are float64, which holds every count exactly, so a
-    caller divides them in place.  Rows of ``pa`` go in blocks whose temporary holds at most
-    ``_BLOCK_ELEMS`` words.  A self-comparison (``pa is pb``, ``va is vb``) counts each
-    pair ``i <= k`` once and mirrors it; its diagonal, a row against itself, is exactly +0.0."""
+    caller divides them in place.  A self-comparison (``pa is pb``, ``va is vb``) counts each
+    pair ``i <= k`` once and mirrors it; its diagonal, a row against itself, is exactly +0.0.
+
+    A block of rows of ``pa`` is a ``planes x rows x cols x words`` view of one XOR buffer of at
+    most ``_BLOCK_ELEMS`` words, allocated once, sized for the first block, with a uint8 popcount
+    buffer and, given masks, one for ``va & vb``.  One broadcast XOR fills it, ``x[0] |= x[p]``
+    folds the planes in place, and the sum over words runs in ``np.min_scalar_type(64 * words)``
+    (uint8 up to 3 words, uint16 up to 1,023, then uint32), exact as a word has 64 bits."""
     (planes, n, words), m = pa.shape, pb.shape[1]
     counts = np.empty((n, m), dtype=np.float64)
     compared = None if va is None else np.empty_like(counts)
     same = pa is pb and va is vb
-    block = max(1, _BLOCK_ELEMS // (planes * m * words))
+    block = min(n, max(1, _BLOCK_ELEMS // (planes * m * words)))
+    cells = block * m * words
+    xor, ones = np.empty(planes * cells, dtype=np.uint64), np.empty(cells, dtype=np.uint8)
+    both = None if va is None else np.empty(cells, dtype=np.uint64)
+    total = np.min_scalar_type(64 * words)
     for s in range(0, n, block):
         rows, cols = slice(s, s + block), slice(s if same else 0, m)
-        diff = np.bitwise_or.reduce(pa[:, rows, None] ^ pb[:, None, cols], axis=0)
+        shape = (min(block, n - s), m - cols.start, words)
+        size = shape[0] * shape[1] * words
+        x = np.bitwise_xor(pa[:, rows, None], pb[:, None, cols], out=xor[:planes * size].reshape(planes, *shape))
+        diff = x[0]
+        for p in range(1, planes):
+            diff |= x[p]
+        bits = ones[:size].reshape(shape)
         if va is not None:
-            both = va[rows, None] & vb[None, cols]
-            compared[rows, cols] = np.bitwise_count(both).sum(axis=2, dtype=np.int64)
-            diff &= both
-        counts[rows, cols] = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+            valid = np.bitwise_and(va[rows, None], vb[None, cols], out=both[:size].reshape(shape))
+            compared[rows, cols] = np.bitwise_count(valid, out=bits).sum(axis=2, dtype=total)
+            diff &= valid
+        counts[rows, cols] = np.bitwise_count(diff, out=bits).sum(axis=2, dtype=total)
         if same:  # mirror the strip right of the block into the rows below it
             counts[s + block:, rows] = counts[rows, s + block:].T
             if va is not None:

@@ -1030,6 +1030,31 @@ class TestRefuseBeforeIO:
             assert (workdir / target).read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "in.csv"], "--output"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--newick", "./in.csv"], "--newick"),
+            (["cluster", "in.fasta", "--method", "HCAL", "--k", "2", "--save-dissimilarity", "in.fasta"],
+             "--save-dissimilarity"),
+            (["cluster", "in.csv", "--method", "HCAL", "--k", "2", "--output", "link.csv"], "--output"),
+            (["experiment", "--input", "in.csv", "--truth-column", "2", "--methods", "HCAL",
+              "--output", "in.csv"], "--output"),
+        ],
+        ids=["cluster-output", "cluster-newick", "cluster-save-dissimilarity", "output-through-a-symlink",
+             "experiment-output"],
+    )
+    def test_an_output_naming_the_input_is_usage_error(self, workdir, capsys, argv, flag):
+        # the input would be replaced by what was computed from it
+        (workdir / "link.csv").symlink_to("in.csv")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: the input and {flag} name one file" in err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+        assert (workdir / "link.csv").is_symlink()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["cluster", "in.csv", "--method", "ROCK", "--k", "2", "--output", "missing/lab.csv"], "unknown method"),

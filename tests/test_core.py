@@ -294,6 +294,35 @@ class TestMismatchCounts:
             a[0, col], b[-1, col] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
         self.check(a, b, gap=data.draw(elements) if gaps else None)
 
+    @pytest.mark.parametrize("J", [65_472, 65_473, 65_536, 70_000])
+    def test_totals_at_the_bounds_of_the_narrow_sum_types(self, J):
+        # 1,023 words sum in uint16 and reach 65,472; from 1,024 words the sums run in uint32,
+        # and from 65,536 columns a total no longer fits in uint16.  Rows 0 and 1 differ in
+        # every column, and every third cell of row 2 is a gap
+        a = np.zeros((3, J), dtype=np.int8)
+        a[1] = 1
+        a[2, ::3], a[2, 1::3] = -1, 1
+        self.check(a[:2], a[2:])
+        self.check(a[:2], a[2:], gap=-1)
+
+    def test_kernel_peak_is_the_tables_and_the_block_buffers(self):
+        # at fasta-gaps-cli's shape one row block is one row: its XOR buffer of every plane,
+        # its popcounts and its validity words are allocated once.  Past them and the two
+        # tables, the peak holds only numpy's own ufunc buffers, at most one bufsize of
+        # uint64 for each of three operands, less than one uint64 plane of a block (626 kB)
+        codes = substream(37).integers(0, 4, size=(250, 20_000))
+        codes[substream(38).random(codes.shape) < 0.05] = -1
+        packed, valid = core.bit_planes(codes, 0, 2), core.bit_planes(codes != -1, 0, 1)[0]
+        planes, n, words = packed.shape
+        cells = max(1, core._BLOCK_ELEMS // (planes * n * words)) * n * words
+        tracemalloc.start()
+        try:
+            core.plane_mismatches(packed, packed, valid, valid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8 + cells * (8 * planes + 1 + 8) + 3 * np.getbufsize() * 8
+
 
 class TestHamming:
     def test_identical_rows(self):
