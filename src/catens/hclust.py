@@ -95,9 +95,10 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     is argmin's row-major first minimum, the tie-break.  Worst case O(n^3).
 
     The merged row is computed in place in row ``i`` (row ``j`` is dead after
-    the merge, so AL may scale it too), with the same float operations in the
-    same order as ``(s_i * w_i + s_j * w_j) / (s_i + s_j)``.  A singleton side
-    skips its multiply: a product by 1 is exact, so every height is unchanged.
+    the merge, so AL may scale it too) by a fixed list of numpy calls, with the
+    same float operations in the same order as ``(s_i * w_i + s_j * w_j) /
+    (s_i + s_j)``, which ``tests/reference.py::argmin_agglomerate`` pins bit for
+    bit.  A singleton side skips its multiply: a product by 1 is exact.
     """
     check_linkage(linkage)
     n = d.n
@@ -109,33 +110,35 @@ def agglomerate(d: DissimilarityMatrix, linkage: str = "AL") -> Dendrogram:
     sizes = [1] * n
     node = list(range(n))   # dendrogram node id per slot
     merges: list[Merge] = []
+    inf, minimum, maximum, multiply, add, divide = np.inf, np.minimum, np.maximum, np.multiply, np.add, np.divide
     for t in range(n - 1):
         while True:   # rescan the row of least bound until its bound is exact
             i = int(bound.argmin())
-            j = int(work[i].argmin())
-            if (h := work[i, j]) == bound[i]:
+            j = int((wi := work[i]).argmin())
+            if (h := wi[j]) == bound[i]:
                 break
             bound[i] = h
-        wi, wj = work[i], work[j]
+        wj, si, sj = work[j], sizes[i], sizes[j]
         if linkage == "SL":
-            np.minimum(wi, wj, out=wi)
+            minimum(wi, wj, out=wi)
         elif linkage == "CL":
-            np.maximum(wi, wj, out=wi)
+            maximum(wi, wj, out=wi)
         else:
-            for w, s in ((wi, sizes[i]), (wj, sizes[j])):
-                if s > 1:
-                    np.multiply(w, s, out=w)
-            np.add(wi, wj, out=wi)
-            np.divide(wi, sizes[i] + sizes[j], out=wi)
+            if si > 1:   # a float size is exact (below 2**53) and costs numpy less to convert
+                multiply(wi, float(si), out=wi)
+            if sj > 1:
+                multiply(wj, float(sj), out=wj)
+            add(wi, wj, out=wi)
+            divide(wi, float(si + sj), out=wi)
         # row and column i get one vector (exact symmetry); dead rows are never read
-        wi[i] = wi[j] = np.inf
+        wi[i] = wi[j] = inf
         work[:, i] = wi
-        work[:, j] = np.inf
-        np.minimum(bound, wi, out=bound)
-        bound[i] = wi.min()
-        bound[j] = np.inf
-        sizes[i] += sizes[j]
-        merges.append(Merge(node[i], node[j], float(h), sizes[i]))
+        work[:, j] = inf
+        minimum(bound, wi, out=bound)
+        bound[i] = wi[wi.argmin()]   # ndarray.min's Python-level wrapper costs more; work holds no NaN
+        bound[j] = inf
+        sizes[i] = si = si + sj
+        merges.append(Merge(node[i], node[j], float(h), si))
         node[i] = n + t
     return Dendrogram(n=n, merges=tuple(merges), source=d)
 

@@ -140,5 +140,8 @@ def subspace_ensemble(
     for r, sub in enumerate(s.subsets):
         seed_r = child_seed(base_cfg.seed, r)
         k_r = int(substream(seed_r, 1).integers(k_min, k_max + 1))
-        runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0].labels)
+        try:
+            runs.append(ensemble_cluster(x.select_columns(sub), replace(base_cfg, seed=seed_r), k_r)[0].labels)
+        except DataError as e:   # a narrow block can fail where the whole table would not
+            raise DataError(f"subspace {r + 1} of {s.R} ({len(sub)} of {x.J} columns): {e}") from e
     return recluster(IncidenceMatrix(np.stack(runs, axis=1)), "AL", k_final, base_cfg.alpha)

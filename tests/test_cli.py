@@ -283,6 +283,21 @@ class TestClusterCommand:
         write_blocks_csv(data, substream(72))
         assert main(["cluster", str(data), "--method", method, "--k", "2", "--blocks", "0"]) == 1
 
+    def test_wor_gap_error_names_the_subspace(self, tmp_path, capsys):
+        # without --blocks, WOR's random-length blocks here end in a one-column block, where two
+        # rows can share no non-gap position although the whole table gives them hundreds
+        rng = substream(90)
+        seqs = rng.choice(list("ACGT"), size=(50, 400))
+        seqs[rng.random((50, 400)) < 0.05] = "-"
+        fasta, out = tmp_path / "gap.fasta", tmp_path / "labels.csv"
+        catio.write_fasta(fasta, [(f"s{i}", "".join(row)) for i, row in enumerate(seqs)])
+        argv = ["cluster", str(fasta), "--method", "WOR", "--k", "3", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "subspace 4 of 4 (1 of 400 columns): rows 0 and 12 share no comparable" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.fasta"]
+        assert main([*argv, "--blocks", "4"]) == 0 and out.exists()
+
     @pytest.mark.parametrize(
         "flag", [["--header"], ["--delimiter", ";"], ["--id-column", "0"], ["--truth-column", "2"]],
         ids=lambda flag: flag[0],

@@ -1,10 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from catens import hclust
 from catens.core import DataError, DissimilarityMatrix, hamming, relabel_dense
-from catens.ensemble import EnsembleConfig, ensemble_cluster
+from catens.ensemble import EnsembleConfig, build_incidence, ensemble_cluster, ensemble_dissimilarity
 from catens.hclust import Dendrogram, Merge, _components, agglomerate, cut, cut_with_outlier_deferral, to_newick
 from catens.metrics import classification_rate
 from catens.rng import substream
@@ -50,6 +54,21 @@ def seeded_matrix(seed: int, n: int, values: str) -> DissimilarityMatrix:
         upper, kind = rng.random((n, n)), "normalized"
     upper = np.triu(upper, 1)
     return matrix(upper + upper.T, kind=kind)
+
+
+@st.composite
+def nested_cut_ensembles(draw):
+    """Ensemble matrices as the second stage agglomerates them: a random tree (a
+    seeded continuous matrix under a drawn linkage) cut at ``B <= 25`` drawn sizes
+    up to about twice the pipeline's ``ceil(sqrt n)``, the nested cuts stacked by
+    ``build_incidence``.  Rows that every cut keeps together form zero-distance
+    groups, and every value is some j/B, so AL's size multiplies compound over
+    many merges at one height."""
+    n, seed = draw(st.integers(2, 160)), draw(st.integers(0, 2**32 - 1))
+    B, k_max = draw(st.integers(1, 25)), draw(st.integers(1, min(n, 2 * math.isqrt(n) + 2)))
+    sizes = np.random.default_rng(seed).integers(1, k_max + 1, B)
+    tree_linkage = draw(st.sampled_from(["SL", "AL", "CL"]))
+    return ensemble_dissimilarity(build_incidence(seeded_matrix(seed, n, "continuous"), sizes, tree_linkage))
 
 
 def merge_bits(tree: Dendrogram) -> list[tuple[int, int, str, int]]:
@@ -187,6 +206,14 @@ class TestArgminOracle:
         d = seeded_matrix(seed, n, values)
         assert merge_bits(agglomerate(d, linkage)) == merge_bits(argmin_agglomerate(d, linkage))
 
+    @given(nested_cut_ensembles(), st.sampled_from(["SL", "AL", "CL"]))
+    def test_nested_cut_ensembles_match(self, d, linkage):
+        assert merge_bits(agglomerate(d, linkage)) == merge_bits(argmin_agglomerate(d, linkage))
+
+    @given(tied_matrices())
+    def test_tied_average_linkage_matches(self, d):
+        assert merge_bits(agglomerate(d, "AL")) == merge_bits(argmin_agglomerate(d, "AL"))
+
     def test_large_n_ensemble_average_linkage(self):
         # the three AL tables of one large-n benchmark draw: HCAL's raw counts, ENAL's
         # normalised Hamming (its base stage) and the ensemble matrix ENAL re-agglomerates
@@ -197,6 +224,41 @@ class TestArgminOracle:
         assert merge_bits(tree) == merge_bits(argmin_agglomerate(e, "AL"))
         for d in (hamming(x), hamming(x, normalized=True)):
             assert merge_bits(agglomerate(d, "AL")) == merge_bits(argmin_agglomerate(d, "AL"))
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("linkage", ["SL", "AL", "CL"])
+    def test_one_working_copy_and_no_row_per_merge(self, monkeypatch, linkage):
+        # the traced peak is the n x n working copy plus O(n): the bound, the size, node
+        # and merge lists and the tree (about 200 n bytes).  From one Merge to the next
+        # the loop allocates no row: a fresh ``wi * s`` or ``wi / s`` takes 8 n bytes
+        x, _ = gen_lowdim(Design("N600", 5, (120,) * 5), seed=3)
+        d = hamming(x)
+        n = d.n
+        tracemalloc.start()
+        try:
+            agglomerate(d, linkage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + 512 * n
+
+        excess, mark = [], []
+
+        def probe(*fields):   # the peak since the last merge, over what was live then
+            if mark:
+                excess.append(tracemalloc.get_traced_memory()[1] - mark.pop())
+            tracemalloc.reset_peak()
+            mark.append(tracemalloc.get_traced_memory()[0])
+            return Merge(*fields)
+
+        monkeypatch.setattr(hclust, "Merge", probe)
+        tracemalloc.start()
+        try:
+            agglomerate(d, linkage)
+        finally:
+            tracemalloc.stop()
+        assert len(excess) == n - 2 and max(excess) < 4 * n
 
 
 class TestTieBreak:
